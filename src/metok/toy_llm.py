@@ -7,11 +7,13 @@ stream, so identical configs give bitwise-identical models, prefills, and
 decodes regardless of thread count.
 
 Prefill applies the layer-wise schedule at each boundary layer: importance is
-measured from that layer's own attention over its incoming sequence, then the
-layer (and everything after it) runs on the pruned sequence. Text positions
-are never pruned. The decode-stage policy drops cached visual entries from the
-boundary layer l1 upward, either physically or by -inf masking; the two paths
-agree up to float summation order.
+measured from the text rows of that layer's attention over its incoming
+sequence, then the layer (and everything after it) runs on the pruned
+sequence. Text positions are never pruned. Causal attention runs over blocks
+of query rows, so no (heads, n, n) score tensor is ever built. The
+decode-stage policy drops cached visual entries from the boundary layer l1
+upward, either physically or by -inf masking; the two paths agree up to float
+summation order.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ __all__ = [
 VOCAB = 256
 _NORM_EPS = 1e-6
 _PROJECTOR_SALT = 0x56495350
+# Query rows per causal-attention block. Fixed, not configurable: results
+# differ across block sizes by float summation order, so one constant keeps
+# every run bit-reproducible.
+_QBLOCK = 256
 
 
 @dataclass
@@ -168,8 +174,8 @@ class KvCache:
     """Per-layer cached keys/values plus the surviving position metadata.
 
     masked entries stay in place but attract -inf attention scores; the drop
-    path removes them instead. is_prompt distinguishes prefill positions from
-    generated ones for the attention-ratio diagnostic.
+    path removes them instead. Only is_prompt positions count in the
+    attention-ratio diagnostic. decode() reads the cache and never writes it.
     """
 
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
@@ -188,14 +194,6 @@ class KvCache:
         """Physically stored entries per layer (masked entries included)."""
         return [k.shape[0] for k in self.k]
 
-    def append(self, layer: int, k_row: np.ndarray, v_row: np.ndarray, pos: int) -> None:
-        self.k[layer] = np.concatenate([self.k[layer], k_row])
-        self.v[layer] = np.concatenate([self.v[layer], v_row])
-        self.position_ids[layer] = np.append(self.position_ids[layer], pos)
-        self.is_text[layer] = np.append(self.is_text[layer], True)
-        self.is_prompt[layer] = np.append(self.is_prompt[layer], False)
-        self.masked[layer] = np.append(self.masked[layer], False)
-
 
 @dataclass
 class PrefillResult:
@@ -211,33 +209,67 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _attention_probs(model: ToyModel, layer: int, x: np.ndarray) -> np.ndarray:
-    """(heads, n, n) causal post-softmax attention of the layer over sequence x."""
-    h = _rms_norm(x)
-    q = _split_heads(h @ model.wq[layer], model.heads)
-    k = _split_heads(h @ model.wk[layer], model.heads)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(model.head_dim)
-    n = x.shape[0]
-    causal = np.triu(np.full((n, n), -np.inf), k=1)
-    scores = scores + causal[None, :, :]
-    scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
-    return p / p.sum(axis=-1, keepdims=True)
+def _causal_probs(
+    q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray
+) -> np.ndarray:
+    """(heads, stop-start, stop) causal post-softmax attention of query rows [start:stop].
+
+    Row i sees keys [:i+1]. Keys before start are visible to every row, so
+    -inf goes only into the diagonal tile [start:stop, start:stop], taken from
+    the -inf upper triangle tile of at least stop-start rows.
+    """
+    rows = stop - start
+    s = q[:, start:stop] @ k[:, :stop].transpose(0, 2, 1)
+    s /= math.sqrt(q.shape[-1])
+    s[:, :, start:] += tile[:rows, :rows]
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _upper_tile(size: int) -> np.ndarray:
+    return np.triu(np.full((size, size), -np.inf), k=1)
+
+
+def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, heads*head_dim) causal softmax attention of split-head q/k/v, in query blocks.
+
+    Working memory is one (heads, _QBLOCK, n) score block instead of a
+    (heads, n, n) tensor; each block reads only the keys it can see.
+    """
+    heads, n, head_dim = q.shape
+    block = min(_QBLOCK, n)
+    tile = _upper_tile(block)
+    out = np.empty((n, heads * head_dim))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        # no name holds the block, so it is freed before the next one is built
+        pv = _causal_probs(q, k, start, stop, tile) @ v[:, :stop]
+        out[start:stop] = pv.transpose(1, 0, 2).reshape(stop - start, -1)
+    return out
 
 
 def _prune_boundary(
-    model: ToyModel,
     sched: PruneSchedule,
     layer: int,
-    x: np.ndarray,
+    q: np.ndarray,
+    k: np.ndarray,
     ids: np.ndarray,
     is_text: np.ndarray,
     is_key: np.ndarray,
 ) -> np.ndarray:
-    """Keep mask over the incoming rows of a boundary layer, from its own attention."""
-    attn = _attention_probs(model, layer, x)
-    rows = np.arange(x.shape[0])
-    text_rows = rows[is_text]
+    """Keep mask over the incoming rows of a boundary layer, from its text rows' attention.
+
+    q and k are the layer's split-head projections of the incoming rows. The
+    text rows are the last M rows, so their (heads, M, n) attention block is
+    all that the importance rule reads.
+    """
+    n = is_text.shape[0]
+    m = int(np.count_nonzero(is_text))
+    attn = _causal_probs(q, k, n - m, n, _upper_tile(m))
+    text_rows = np.arange(m)
+    rows = np.arange(n)
     keep = is_text.copy()
     for group, flag in (("key", True), ("non_key", False)):
         grp_rows = rows[~is_text & (is_key == flag)]
@@ -266,24 +298,27 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     cache = KvCache(prompt_len=inp.x.shape[0])
     lengths = []
     for layer in range(model.layers):
-        if layer in boundaries:
-            keep = _prune_boundary(model, sched, layer, x, ids, is_text, is_key)
-            x, ids = x[keep], ids[keep]
-            is_text, is_key = is_text[keep], is_key[keep]
-        lengths.append(x.shape[0])
+        # RMS-norm and the projections act row by row, so a boundary layer
+        # scores from its incoming rows and keeps the survivors' projections.
         h = _rms_norm(x)
-        q = _split_heads(h @ model.wq[layer], model.heads)
+        q_flat = h @ model.wq[layer]
         k_flat = h @ model.wk[layer]
         v_flat = h @ model.wv[layer]
-        k = _split_heads(k_flat, model.heads)
-        v = _split_heads(v_flat, model.heads)
+        if layer in boundaries:
+            keep = _prune_boundary(
+                sched, layer, _split_heads(q_flat, model.heads),
+                _split_heads(k_flat, model.heads), ids, is_text, is_key,
+            )
+            x, ids = x[keep], ids[keep]
+            is_text, is_key = is_text[keep], is_key[keep]
+            q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
         n = x.shape[0]
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(model.head_dim)
-        scores = scores + np.triu(np.full((n, n), -np.inf), k=1)[None, :, :]
-        scores -= scores.max(axis=-1, keepdims=True)
-        p = np.exp(scores)
-        p /= p.sum(axis=-1, keepdims=True)
-        out = (p @ v).transpose(1, 0, 2).reshape(n, model.d_model)
+        lengths.append(n)
+        out = _causal_attention(
+            _split_heads(q_flat, model.heads),
+            _split_heads(k_flat, model.heads),
+            _split_heads(v_flat, model.heads),
+        )
         x = x + out @ model.wo[layer]
         h2 = _rms_norm(x)
         x = x + np.maximum(h2 @ model.w_in[layer], 0.0) @ model.w_out[layer]
@@ -349,12 +384,13 @@ class DecodeOutput:
 
 
 def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray) -> DecodeOutput:
-    """Greedy decode against the (possibly masked) cache.
+    """Greedy decode against the (possibly masked) cache, which is not modified.
 
     Token 0 is the argmax of first_logits (computed by prefill); each further
-    token comes from one forward pass that appends its keys/values to every
-    layer. Per forward and layer, the head-averaged attention mass landing on
-    visual vs text PROMPT positions is recorded.
+    token comes from one forward pass whose keys/values every layer keeps in a
+    buffer of generated rows beside the caller's cache, so decoding twice from
+    one cache gives the same result. Per forward and layer, the head-averaged
+    attention mass landing on visual vs text PROMPT positions is recorded.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -363,6 +399,9 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     tokens = [int(np.argmax(first_logits))]
     logits_rows = [np.asarray(first_logits, dtype=np.float64)]
     attn_split = np.zeros((steps - 1, model.layers, 2))
+    gen_k = np.empty((model.layers, steps - 1, model.d_model))
+    gen_v = np.empty((model.layers, steps - 1, model.d_model))
+    scale = math.sqrt(model.head_dim)
     for s in range(steps - 1):
         pos = cache.prompt_len + s
         x = model.embed[tokens[-1] % model.vocab] + sinusoidal_positions(
@@ -371,24 +410,27 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
         for layer in range(model.layers):
             h = _rms_norm(x[None, :])
             q = _split_heads(h @ model.wq[layer], model.heads)
-            k_new = h @ model.wk[layer]
-            v_new = h @ model.wv[layer]
-            cache.append(layer, k_new, v_new, pos)
-            k = _split_heads(cache.k[layer], model.heads)
-            v = _split_heads(cache.v[layer], model.heads)
-            scores = (q @ k.transpose(0, 2, 1) / math.sqrt(model.head_dim))[:, 0, :]
+            gen_k[layer, s] = (h @ model.wk[layer])[0]
+            gen_v[layer, s] = (h @ model.wv[layer])[0]
+            c = cache.k[layer].shape[0]
+            k_c = _split_heads(cache.k[layer], model.heads)
+            k_g = _split_heads(gen_k[layer, : s + 1], model.heads)
+            scores = np.concatenate(
+                [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
+            )[:, 0, :] / scale
             masked = cache.masked[layer]
             if masked.any():
-                scores[:, masked] = -np.inf
+                scores[:, np.flatnonzero(masked)] = -np.inf
             scores -= scores.max(axis=-1, keepdims=True)
             p = np.exp(scores)
             p /= p.sum(axis=-1, keepdims=True)
-            head_mean = p.mean(axis=0)
+            head_mean = p[:, :c].mean(axis=0)
             prompt, text = cache.is_prompt[layer], cache.is_text[layer]
             attn_split[s, layer, 0] = head_mean[prompt & ~text].sum()
             attn_split[s, layer, 1] = head_mean[prompt & text].sum()
-            out = (p[:, None, :] @ v).reshape(1, model.d_model)
-            x = x + (out @ model.wo[layer])[0]
+            out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
+            out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
+            x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]
             h2 = _rms_norm(x[None, :])
             x = x + (np.maximum(h2 @ model.w_in[layer], 0.0) @ model.w_out[layer])[0]
         logits = _rms_norm(x[None, :])[0] @ model.unembed

@@ -1,10 +1,20 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from metok.data_io import RunConfig, TextEmbedding, gen_synthetic
+from metok import toy_llm
+from metok.data_io import RunConfig, TextEmbedding, config_with, gen_synthetic
 from metok.kernels import Rng64
-from metok.schedule import PruneSchedule
+from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary, token_importance
 from metok.toy_llm import (
+    KvCache,
+    _causal_attention,
+    _causal_probs,
+    _rms_norm,
+    _split_heads,
+    _upper_tile,
     apply_kv_policy,
     attention_ratio_trace,
     build_prefill_input,
@@ -37,6 +47,57 @@ def make_text(m, dim, seed=1):
         vector=rng.next_unit_array(dim),
         token_ids=np.array([rng.next_raw() % 256 for _ in range(m)]),
     )
+
+
+def dense_probs(q, k):
+    """(heads, n, n) causal post-softmax attention of split-head q/k, built whole."""
+    n = q.shape[1]
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(q.shape[-1])
+    scores = scores + np.triu(np.full((n, n), -np.inf), k=1)[None, :, :]
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def dense_prefill(model, inp, sched):
+    """Oracle prefill: dense attention on every layer; each boundary scores from
+    the full (heads, n, n) probabilities, then projects its survivors again."""
+    x, ids, is_text, is_key = inp.x, inp.position_ids, inp.is_text, inp.is_key
+    boundaries = set(sched.boundary_layers())
+    cache = KvCache(prompt_len=x.shape[0])
+    lengths = []
+    for layer in range(model.layers):
+        if layer in boundaries:
+            h = _rms_norm(x)
+            attn = dense_probs(_split_heads(h @ model.wq[layer], model.heads),
+                               _split_heads(h @ model.wk[layer], model.heads))
+            rows = np.arange(x.shape[0])
+            keep = is_text.copy()
+            for group, flag in (("key", True), ("non_key", False)):
+                grp = rows[~is_text & (is_key == flag)]
+                if grp.size == 0 and sched.origin(group) == 0:
+                    continue
+                importance = token_importance(attn, rows[is_text], grp)
+                kept = select_at_boundary(importance, ids[grp], sched.origin(group),
+                                          retention_ratio(layer, group, sched))
+                keep[grp] = np.isin(ids[grp], kept)
+            x, ids, is_text, is_key = x[keep], ids[keep], is_text[keep], is_key[keep]
+        n = x.shape[0]
+        lengths.append(n)
+        h = _rms_norm(x)
+        k_flat, v_flat = h @ model.wk[layer], h @ model.wv[layer]
+        p = dense_probs(_split_heads(h @ model.wq[layer], model.heads),
+                        _split_heads(k_flat, model.heads))
+        out = (p @ _split_heads(v_flat, model.heads)).transpose(1, 0, 2).reshape(n, -1)
+        x = x + out @ model.wo[layer]
+        x = x + np.maximum(_rms_norm(x) @ model.w_in[layer], 0.0) @ model.w_out[layer]
+        cache.k.append(k_flat)
+        cache.v.append(v_flat)
+        cache.position_ids.append(ids.copy())
+        cache.is_text.append(is_text.copy())
+        cache.is_prompt.append(np.ones(n, dtype=bool))
+        cache.masked.append(np.zeros(n, dtype=bool))
+    return cache, lengths, _rms_norm(x)[-1] @ model.unembed
 
 
 def disabled_schedule(layers):
@@ -131,6 +192,125 @@ class TestPrefill:
             assert int(res.cache.is_text[layer].sum()) == 5
 
 
+def random_qkv(heads, n, head_dim, seed):
+    rng = Rng64(seed)
+    return [rng.next_unit_array(heads * n * head_dim).reshape(heads, n, head_dim)
+            for _ in range(3)]
+
+
+def assert_matches_dense_prefill(model, inp, sched):
+    """Keep sets, lengths and decoded tokens equal the dense oracle's; logits to 1e-9."""
+    res = prefill(model, inp, sched)
+    cache, lengths, final_logits = dense_prefill(model, inp, sched)
+    assert res.layer_lengths == lengths
+    for got, want in zip(res.cache.position_ids, cache.position_ids):
+        assert np.array_equal(got, want)
+    assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-9
+    drop = sched.kv_drop_layer()
+    out = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
+    want = decode(model, apply_kv_policy(cache, drop), 4, final_logits)
+    assert np.array_equal(out.tokens, want.tokens)
+    assert float(np.max(np.abs(out.logits - want.logits))) <= 1e-9
+
+
+class TestBlockedAttention:
+    B = toy_llm._QBLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
+    def test_matches_dense_oracle(self, n):
+        q, k, v = random_qkv(2, n, 4, seed=n)
+        want = (dense_probs(q, k) @ v).transpose(1, 0, 2).reshape(n, -1)
+        assert float(np.max(np.abs(_causal_attention(q, k, v) - want))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 7, B + 3])
+    def test_text_rows_match_dense_rows(self, m):
+        n = 2 * self.B + 17
+        q, k, _ = random_qkv(3, n, 4, seed=m)
+        block = _causal_probs(q, k, n - m, n, _upper_tile(m))
+        assert block.shape == (3, m, n)
+        assert float(np.max(np.abs(block - dense_probs(q, k)[:, n - m :]))) <= 1e-12
+
+    def test_criterion_4_fixtures_match_dense_prefill(self):
+        rng = Rng64(444)  # the first 40 of acceptance criterion 4's 100 runs
+        for _ in range(40):
+            layers = 12
+            cfg = RunConfig(layers=layers, heads=4, d_model=64, seed=rng.next_raw() % 10**9)
+            n_key = 8 + rng.next_raw() % 40
+            n_nonkey = rng.next_raw() % 24
+            m = 2 + rng.next_raw() % 6
+            l1 = max(1, rng.next_raw() % (layers + 1))
+            model = init_model(cfg)
+            stream = make_stream(n_key, n_nonkey, 16, seed=cfg.seed + 1)
+            inp = build_prefill_input(model, stream, make_text(m, 16, seed=cfg.seed + 2))
+            sched = PruneSchedule(
+                l1=l1, l2=l1 + 3, l3=l1 + 6, r=0.5, alpha=0.5, total_layers=layers,
+                n_key=n_key, n_nonkey=n_nonkey,
+            )
+            assert_matches_dense_prefill(model, inp, sched)
+
+    def test_criterion_8_fixture_matches_dense_prefill(self):
+        # the baseline run's 264 tokens span two query blocks
+        frames, text = gen_synthetic(16, 4, 4, 16, seed=11, num_segments=4)
+        cfg = RunConfig(k=4, layers=8, heads=2, d_model=32, layer_boundaries=(2, 4, 6))
+        model = init_model(cfg)
+        base_cfg = config_with(cfg, disable_stages=("vision", "prefill", "decode"))
+        for run_cfg in (cfg, base_cfg):
+            stream, _ = run_vision_stage(frames, text, run_cfg)
+            inp = build_prefill_input(model, stream, text)
+            sched = PruneSchedule.from_config(run_cfg, *stream.group_counts())
+            assert_matches_dense_prefill(model, inp, sched)
+
+    def _pruned_run(self):
+        cfg = RunConfig(layers=6, heads=4, d_model=32, seed=17)
+        model = init_model(cfg)
+        inp = build_prefill_input(model, make_stream(220, 90, 8), make_text(9, 8))
+        sched = PruneSchedule(
+            l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=6, n_key=220, n_nonkey=90
+        )
+        return model, inp, sched
+
+    def test_two_prefills_bit_identical(self):
+        model, inp, sched = self._pruned_run()
+        a, b = prefill(model, inp, sched), prefill(model, inp, sched)
+        assert a.layer_lengths == b.layer_lengths
+        assert np.array_equal(a.hidden, b.hidden)
+        assert np.array_equal(a.final_logits, b.final_logits)
+        for layer in range(model.layers):
+            assert np.array_equal(a.cache.k[layer], b.cache.k[layer])
+            assert np.array_equal(a.cache.v[layer], b.cache.v[layer])
+            assert np.array_equal(a.cache.position_ids[layer], b.cache.position_ids[layer])
+
+    @pytest.mark.parametrize("block", [64, 1024])
+    def test_block_size_changes_only_rounding(self, block, monkeypatch):
+        model, inp, sched = self._pruned_run()
+        ref = prefill(model, inp, sched)
+        monkeypatch.setattr(toy_llm, "_QBLOCK", block)
+        res = prefill(model, inp, sched)
+        assert res.layer_lengths == ref.layer_lengths
+        for got, want in zip(res.cache.position_ids, ref.cache.position_ids):
+            assert np.array_equal(got, want)
+        assert float(np.max(np.abs(res.final_logits - ref.final_logits))) <= 1e-12
+        drop = sched.kv_drop_layer()
+        out = decode(model, apply_kv_policy(res.cache, drop), 6, res.final_logits)
+        want = decode(model, apply_kv_policy(ref.cache, drop), 6, ref.final_logits)
+        assert np.array_equal(out.tokens, want.tokens)
+
+    def test_peak_memory_below_dense_scores(self):
+        heads, n_vis, m = 4, 1192, 8
+        n = n_vis + m
+        model = init_model(RunConfig(layers=2, heads=heads, d_model=16, seed=8))
+        inp = build_prefill_input(model, make_stream(n_vis, 0, 8), make_text(m, 8))
+        block_bytes = heads * self.B * n * 8       # about 10 MB
+        dense_bytes = heads * n * n * 8             # about 46 MB
+        tracemalloc.start()
+        try:
+            prefill(model, inp, disabled_schedule(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes < dense_bytes
+
+
 class TestKvPolicyAndDecode:
     def _prefilled(self, layers=6, seed=11, n_key=12, n_nonkey=6, m=4):
         cfg = RunConfig(layers=layers, heads=2, d_model=16, seed=seed)
@@ -151,6 +331,17 @@ class TestKvPolicyAndDecode:
         out_b = decode(model, flagged, 6, res.final_logits)
         assert np.array_equal(out_a.tokens, out_b.tokens)
         assert float(np.max(np.abs(out_a.logits - out_b.logits))) <= 1e-9
+
+    def test_decode_leaves_cache_unchanged(self):
+        model, res, sched = self._prefilled()
+        cache = apply_kv_policy(res.cache, sched.kv_drop_layer())
+        counts = cache.entry_counts()
+        first = decode(model, cache, 6, res.final_logits)
+        assert cache.entry_counts() == counts
+        second = decode(model, cache, 6, res.final_logits)
+        assert cache.entry_counts() == counts
+        assert np.array_equal(first.tokens, second.tokens)
+        assert np.array_equal(first.logits, second.logits)
 
     def test_policy_off_is_bitwise_noop(self):
         model, res, _ = self._prefilled()
