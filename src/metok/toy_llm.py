@@ -10,10 +10,13 @@ Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
 sequence. Text positions are never pruned. Causal attention runs over blocks
-of query rows, so no (heads, n, n) score tensor is ever built. The
+of query rows with q pre-scaled by 1/sqrt(head_dim), so no (heads, n, n)
+score tensor is ever built, and softmax is normalised after P·V. The final
+layer executes only the last prompt row, the one final_logits reads, so the
+executed work is below the counted 4*n^2*d attention and MLP terms. The
 decode-stage policy drops cached visual entries from the boundary layer l1
 upward, either physically or by -inf masking; the two paths agree up to float
-summation order.
+summation order. Layers it keeps whole are shared with its input, not copied.
 """
 
 from __future__ import annotations
@@ -72,12 +75,6 @@ class ToyModel:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.heads
-
-    def checksum(self) -> float:
-        """Order-stable digest of all weights, for determinism checks."""
-        parts = [self.embed, self.unembed] + self.wq + self.wk + self.wv + self.wo
-        parts += self.w_in + self.w_out
-        return float(sum(float(np.sum(p * p)) for p in parts))
 
 
 def init_model(cfg: RunConfig) -> ToyModel:
@@ -174,15 +171,13 @@ class KvCache:
     """Per-layer cached keys/values plus the surviving position metadata.
 
     masked entries stay in place but attract -inf attention scores; the drop
-    path removes them instead. Only is_prompt positions count in the
-    attention-ratio diagnostic. decode() reads the cache and never writes it.
+    path removes them instead. decode() reads the cache and never writes it.
     """
 
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
     v: list[np.ndarray] = field(default_factory=list)
     position_ids: list[np.ndarray] = field(default_factory=list)
     is_text: list[np.ndarray] = field(default_factory=list)
-    is_prompt: list[np.ndarray] = field(default_factory=list)
     masked: list[np.ndarray] = field(default_factory=list)
     prompt_len: int = 0
 
@@ -198,7 +193,6 @@ class KvCache:
 @dataclass
 class PrefillResult:
     cache: KvCache
-    hidden: np.ndarray           # final-layer hidden states, normalized
     final_logits: np.ndarray     # logits at the last prompt position
     layer_lengths: list[int]     # sequence length entering each layer
     prefill_ms: float
@@ -209,44 +203,55 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _causal_probs(
+def _causal_exp(
     q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray
 ) -> np.ndarray:
-    """(heads, stop-start, stop) causal post-softmax attention of query rows [start:stop].
+    """(heads, stop-start, stop) softmax numerators exp(s - row max) of query rows [start:stop].
 
-    Row i sees keys [:i+1]. Keys before start are visible to every row, so
-    -inf goes only into the diagonal tile [start:stop, start:stop], taken from
-    the -inf upper triangle tile of at least stop-start rows.
+    q is pre-scaled by 1/sqrt(head_dim). Row i sees keys [:i+1]. Keys before
+    start are visible to every row, so -inf goes only into the diagonal tile
+    [start:stop, start:stop], taken from the -inf upper triangle tile of at
+    least stop-start rows.
     """
     rows = stop - start
     s = q[:, start:stop] @ k[:, :stop].transpose(0, 2, 1)
-    s /= math.sqrt(q.shape[-1])
     s[:, :, start:] += tile[:rows, :rows]
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
     return s
+
+
+def _causal_probs(
+    q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray
+) -> np.ndarray:
+    """_causal_exp's block, normalised: post-softmax attention of query rows [start:stop]."""
+    e = _causal_exp(q, k, start, stop, tile)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _upper_tile(size: int) -> np.ndarray:
     return np.triu(np.full((size, size), -np.inf), k=1)
 
 
-def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(n, heads*head_dim) causal softmax attention of split-head q/k/v, in query blocks.
+def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
+    """(n-first, heads*head_dim) causal attention of split-head query rows [first:n], in blocks.
 
     Working memory is one (heads, _QBLOCK, n) score block instead of a
-    (heads, n, n) tensor; each block reads only the keys it can see.
+    (heads, n, n) tensor; each block reads only the keys it can see. Softmax
+    is normalised after P·V, on the small (heads, rows, head_dim) output.
     """
     heads, n, head_dim = q.shape
-    block = min(_QBLOCK, n)
+    block = min(_QBLOCK, n - first)
     tile = _upper_tile(block)
-    out = np.empty((n, heads * head_dim))
-    for start in range(0, n, block):
+    out = np.empty((n - first, heads * head_dim))
+    for start in range(first, n, block):
         stop = min(start + block, n)
-        # no name holds the block, so it is freed before the next one is built
-        pv = _causal_probs(q, k, start, stop, tile) @ v[:, :stop]
-        out[start:stop] = pv.transpose(1, 0, 2).reshape(stop - start, -1)
+        e = _causal_exp(q, k, start, stop, tile)
+        pv = e @ v[:, :stop]
+        pv /= e.sum(axis=-1, keepdims=True)
+        del e  # free the block before the next one is built
+        out[start - first : stop - first] = pv.transpose(1, 0, 2).reshape(stop - start, -1)
     return out
 
 
@@ -261,9 +266,9 @@ def _prune_boundary(
 ) -> np.ndarray:
     """Keep mask over the incoming rows of a boundary layer, from its text rows' attention.
 
-    q and k are the layer's split-head projections of the incoming rows. The
-    text rows are the last M rows, so their (heads, M, n) attention block is
-    all that the importance rule reads.
+    q (pre-scaled) and k are the layer's split-head projections of the
+    incoming rows. The text rows are the last M rows, so their (heads, M, n)
+    attention block is all that the importance rule reads.
     """
     n = is_text.shape[0]
     m = int(np.count_nonzero(is_text))
@@ -286,7 +291,9 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     """Forward the prompt, pruning visual tokens at each boundary layer's input.
 
     Records the sequence length entering every layer and caches each layer's
-    keys/values for its surviving positions.
+    keys/values for its surviving positions. The cache takes K/V from each
+    layer's input, so the final layer runs attention, Wo and the MLP only for
+    the last prompt row, the one final_logits reads.
     """
     if sched.total_layers != model.layers:
         raise ValueError("schedule and model disagree on layer count")
@@ -297,11 +304,12 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     boundaries = set(sched.boundary_layers())
     cache = KvCache(prompt_len=inp.x.shape[0])
     lengths = []
+    q_scale = 1.0 / math.sqrt(model.head_dim)
     for layer in range(model.layers):
         # RMS-norm and the projections act row by row, so a boundary layer
         # scores from its incoming rows and keeps the survivors' projections.
         h = _rms_norm(x)
-        q_flat = h @ model.wq[layer]
+        q_flat = (h @ model.wq[layer]) * q_scale
         k_flat = h @ model.wk[layer]
         v_flat = h @ model.wv[layer]
         if layer in boundaries:
@@ -314,25 +322,23 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
             q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
         n = x.shape[0]
         lengths.append(n)
-        out = _causal_attention(
-            _split_heads(q_flat, model.heads),
-            _split_heads(k_flat, model.heads),
-            _split_heads(v_flat, model.heads),
-        )
-        x = x + out @ model.wo[layer]
-        h2 = _rms_norm(x)
-        x = x + np.maximum(h2 @ model.w_in[layer], 0.0) @ model.w_out[layer]
         cache.k.append(k_flat)
         cache.v.append(v_flat)
         cache.position_ids.append(ids.copy())
         cache.is_text.append(is_text.copy())
-        cache.is_prompt.append(np.ones(n, dtype=bool))
         cache.masked.append(np.zeros(n, dtype=bool))
-    hidden = _rms_norm(x)
-    final_logits = hidden[-1] @ model.unembed
+        first = n - 1 if layer == model.layers - 1 else 0
+        out = _causal_attention(
+            _split_heads(q_flat, model.heads),
+            _split_heads(k_flat, model.heads),
+            _split_heads(v_flat, model.heads),
+            first,
+        )
+        x = x[first:] + out @ model.wo[layer]
+        x = x + np.maximum(_rms_norm(x) @ model.w_in[layer], 0.0) @ model.w_out[layer]
+    final_logits = _rms_norm(x[-1:])[0] @ model.unembed
     return PrefillResult(
         cache=cache,
-        hidden=hidden,
         final_logits=final_logits,
         layer_lengths=lengths,
         prefill_ms=(time.perf_counter() - t0) * 1000.0,
@@ -344,31 +350,25 @@ def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCa
 
     mode "drop" deletes the entries; mode "neg_inf" keeps them flagged so
     attention masks them, which must match the drop path up to float rounding.
+    Layers below drop_layer, and every array but masked in neg_inf mode, are
+    the input cache's own arrays, shared rather than copied: both caches are
+    read-only.
     """
     if mode not in ("drop", "neg_inf"):
         raise ValueError(f"unknown mode {mode!r}")
     out = KvCache(prompt_len=cache.prompt_len)
     for layer in range(cache.num_layers):
-        keep_all = layer < drop_layer
         text = cache.is_text[layer]
-        if keep_all:
-            sel = np.ones(text.shape[0], dtype=bool)
+        arrays = (cache.k[layer], cache.v[layer], cache.position_ids[layer], text,
+                  cache.masked[layer])
+        if layer < drop_layer:
+            kept = arrays
+        elif mode == "drop":
+            kept = tuple(a[text] for a in arrays)
         else:
-            sel = text.copy()
-        if mode == "drop":
-            out.k.append(cache.k[layer][sel])
-            out.v.append(cache.v[layer][sel])
-            out.position_ids.append(cache.position_ids[layer][sel])
-            out.is_text.append(text[sel])
-            out.is_prompt.append(cache.is_prompt[layer][sel])
-            out.masked.append(cache.masked[layer][sel])
-        else:
-            out.k.append(cache.k[layer].copy())
-            out.v.append(cache.v[layer].copy())
-            out.position_ids.append(cache.position_ids[layer].copy())
-            out.is_text.append(text.copy())
-            out.is_prompt.append(cache.is_prompt[layer].copy())
-            out.masked.append(cache.masked[layer] | ~sel)
+            kept = arrays[:4] + (cache.masked[layer] | ~text,)
+        for dest, a in zip((out.k, out.v, out.position_ids, out.is_text, out.masked), kept):
+            dest.append(a)
     return out
 
 
@@ -425,9 +425,9 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             p = np.exp(scores)
             p /= p.sum(axis=-1, keepdims=True)
             head_mean = p[:, :c].mean(axis=0)
-            prompt, text = cache.is_prompt[layer], cache.is_text[layer]
-            attn_split[s, layer, 0] = head_mean[prompt & ~text].sum()
-            attn_split[s, layer, 1] = head_mean[prompt & text].sum()
+            text = cache.is_text[layer]
+            attn_split[s, layer, 0] = head_mean[~text].sum()
+            attn_split[s, layer, 1] = head_mean[text].sum()
             out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
             out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
             x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]

@@ -1,5 +1,12 @@
+import copy
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary, t
 from metok.toy_llm import (
     KvCache,
     _causal_attention,
+    _causal_exp,
     _causal_probs,
     _rms_norm,
     _split_heads,
@@ -95,9 +103,28 @@ def dense_prefill(model, inp, sched):
         cache.v.append(v_flat)
         cache.position_ids.append(ids.copy())
         cache.is_text.append(is_text.copy())
-        cache.is_prompt.append(np.ones(n, dtype=bool))
         cache.masked.append(np.zeros(n, dtype=bool))
     return cache, lengths, _rms_norm(x)[-1] @ model.unembed
+
+
+def assert_same_cache(a, b, kv_tol=0.0):
+    """Equal metadata in every layer; keys/values equal, or within kv_tol."""
+    assert a.prompt_len == b.prompt_len
+    assert a.num_layers == b.num_layers
+    for layer in range(a.num_layers):
+        for name in ("position_ids", "is_text", "masked"):
+            assert np.array_equal(getattr(a, name)[layer], getattr(b, name)[layer])
+        for name in ("k", "v"):
+            got, want = getattr(a, name)[layer], getattr(b, name)[layer]
+            assert got.shape == want.shape
+            assert float(np.max(np.abs(got - want), initial=0.0)) <= kv_tol
+
+
+def weights_checksum(model):
+    """Order-stable digest of all weights, for determinism checks."""
+    parts = [model.embed, model.unembed] + model.wq + model.wk + model.wv + model.wo
+    parts += model.w_in + model.w_out
+    return float(sum(float(np.sum(p * p)) for p in parts))
 
 
 def disabled_schedule(layers):
@@ -110,12 +137,12 @@ def disabled_schedule(layers):
 class TestInitModel:
     def test_same_config_same_checksum(self):
         cfg = RunConfig(layers=3, heads=2, d_model=16, seed=5)
-        assert init_model(cfg).checksum() == init_model(cfg).checksum()
+        assert weights_checksum(init_model(cfg)) == weights_checksum(init_model(cfg))
 
     def test_different_seed_different_checksum(self):
         a = init_model(RunConfig(layers=3, heads=2, d_model=16, seed=5))
         b = init_model(RunConfig(layers=3, heads=2, d_model=16, seed=6))
-        assert a.checksum() != b.checksum()
+        assert weights_checksum(a) != weights_checksum(b)
 
     def test_head_dim(self):
         m = init_model(RunConfig(layers=1, heads=4, d_model=64))
@@ -148,7 +175,7 @@ class TestPrefill:
         res_b = prefill(model, inp_b, disabled_schedule(6))
         assert res_a.layer_lengths == res_b.layer_lengths
         assert np.array_equal(res_a.final_logits, res_b.final_logits)
-        assert np.array_equal(res_a.hidden, res_b.hidden)
+        assert_same_cache(res_a.cache, res_b.cache)
 
     def test_tiered_lengths_hand_case(self):
         cfg = RunConfig(layers=20, heads=4, d_model=32, seed=7)
@@ -218,17 +245,26 @@ class TestBlockedAttention:
 
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
     def test_matches_dense_oracle(self, n):
+        # the helpers take q pre-scaled by 1/sqrt(head_dim); the oracle scales its own
         q, k, v = random_qkv(2, n, 4, seed=n)
         want = (dense_probs(q, k) @ v).transpose(1, 0, 2).reshape(n, -1)
-        assert float(np.max(np.abs(_causal_attention(q, k, v) - want))) <= 1e-12
+        for first in (0, n // 2, n - 1):  # output rows [first:n] only
+            got = _causal_attention(q / math.sqrt(4), k, v, first)
+            assert float(np.max(np.abs(got - want[first:]))) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 7, B + 3])
     def test_text_rows_match_dense_rows(self, m):
         n = 2 * self.B + 17
         q, k, _ = random_qkv(3, n, 4, seed=m)
-        block = _causal_probs(q, k, n - m, n, _upper_tile(m))
-        assert block.shape == (3, m, n)
-        assert float(np.max(np.abs(block - dense_probs(q, k)[:, n - m :]))) <= 1e-12
+        want = dense_probs(q, k)[:, n - m :]
+        numer = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_tile(m))
+        assert numer.shape == (3, m, n)
+        # unnormalised: each row's largest numerator is exp(0)
+        assert np.array_equal(numer.max(axis=-1), np.ones((3, m)))
+        normed = numer / numer.sum(axis=-1, keepdims=True)
+        assert float(np.max(np.abs(normed - want))) <= 1e-12
+        block = _causal_probs(q / math.sqrt(4), k, n - m, n, _upper_tile(m))
+        assert np.array_equal(block, normed)
 
     def test_criterion_4_fixtures_match_dense_prefill(self):
         rng = Rng64(444)  # the first 40 of acceptance criterion 4's 100 runs
@@ -273,12 +309,19 @@ class TestBlockedAttention:
         model, inp, sched = self._pruned_run()
         a, b = prefill(model, inp, sched), prefill(model, inp, sched)
         assert a.layer_lengths == b.layer_lengths
-        assert np.array_equal(a.hidden, b.hidden)
         assert np.array_equal(a.final_logits, b.final_logits)
-        for layer in range(model.layers):
-            assert np.array_equal(a.cache.k[layer], b.cache.k[layer])
-            assert np.array_equal(a.cache.v[layer], b.cache.v[layer])
-            assert np.array_equal(a.cache.position_ids[layer], b.cache.position_ids[layer])
+        assert_same_cache(a.cache, b.cache)
+
+    @pytest.mark.parametrize("l3", [5, 6])
+    def test_one_row_final_layer_matches_dense_prefill(self, l3):
+        # the final layer runs only the last row; at l3=5 it is a boundary layer too
+        model, inp, sched = self._pruned_run()
+        sched = dataclasses.replace(sched, l3=l3)
+        res = prefill(model, inp, sched)
+        cache, lengths, final_logits = dense_prefill(model, inp, sched)
+        assert res.layer_lengths == lengths
+        assert_same_cache(res.cache, cache, kv_tol=1e-12)
+        assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-12
 
     @pytest.mark.parametrize("block", [64, 1024])
     def test_block_size_changes_only_rounding(self, block, monkeypatch):
@@ -343,6 +386,22 @@ class TestKvPolicyAndDecode:
         assert np.array_equal(first.tokens, second.tokens)
         assert np.array_equal(first.logits, second.logits)
 
+    def test_kept_layers_are_shared_not_copied(self):
+        model, res, sched = self._prefilled()
+        drop = sched.kv_drop_layer()
+        assert 0 < drop < model.layers
+        cache = apply_kv_policy(res.cache, drop)
+        for layer in range(model.layers):
+            for name in ("k", "v", "position_ids", "is_text", "masked"):
+                shared = np.shares_memory(getattr(cache, name)[layer],
+                                          getattr(res.cache, name)[layer])
+                assert shared == (layer < drop)
+        out = decode(model, cache, 6, res.final_logits)
+        want = decode(model, copy.deepcopy(cache), 6, res.final_logits)
+        assert np.array_equal(out.tokens, want.tokens)
+        assert np.array_equal(out.logits, want.logits)
+        assert np.array_equal(out.attn_split, want.attn_split)
+
     def test_policy_off_is_bitwise_noop(self):
         model, res, _ = self._prefilled()
         plain = apply_kv_policy(res.cache, model.layers, "drop")
@@ -376,6 +435,54 @@ class TestKvPolicyAndDecode:
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 9, res.final_logits)
         assert out.tokens.shape == (9,)
         assert out.logits.shape[0] == 9
+
+
+# One toy simulation; prints digests of both decodes and the BLAS thread count
+# (None where OpenBLAS cannot be asked).
+_THREAD_RUN = """
+import ctypes, hashlib, json
+from metok.data_io import RunConfig, gen_synthetic
+from metok.pipeline import run_simulation
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                return int(fn())
+    return None
+
+frames, text = gen_synthetic(16, 8, 8, 32, seed=5, num_segments=4)
+cfg = RunConfig(k=4, layers=4, heads=4, d_model=64, layer_boundaries=(1, 2, 3))
+res = run_simulation(frames, text, cfg, steps=6)
+print(json.dumps({"threads": blas_threads(), "runs": [
+    {"tokens": out.tokens.tolist(),
+     "logits": hashlib.sha256(out.logits.tobytes()).hexdigest(),
+     "lengths": trace.layer_lengths}
+    for out, trace in ((res.decode_output, res.compressed),
+                       (res.baseline_decode_output, res.baseline))]}))
+"""
+
+
+def test_simulation_bit_identical_across_blas_thread_counts():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        got = json.loads(proc.stdout)
+        assert got["threads"] in (None, int(threads))
+        results.append(got["runs"])
+    assert results[0] == results[1]
+    # the compressed run pruned, so both prefill paths were exercised
+    assert results[0][0]["lengths"] != results[0][1]["lengths"]
 
 
 class TestAttentionRatios:
