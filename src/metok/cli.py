@@ -3,7 +3,7 @@
 Every run writes a manifest.json capturing the tool version, seed, effective
 config, and sha256 digests of inputs and artifacts, so any artifact can be
 reproduced bit for bit from its manifest. Exit codes: 0 success, 1 usage
-error, 2 data error. METOK_THREADS caps sweep parallelism.
+error, 2 data error. METOK_THREADS caps how many sweep points run at once.
 """
 
 from __future__ import annotations
@@ -224,18 +224,19 @@ def _parse_sweep_params(params: list[str]) -> list[tuple[str, list]]:
 
 
 def _cmd_sweep(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _load_run_config(args)
     frames, text = _load_inputs(args)
     axes = _parse_sweep_params(args.param)
     names = [name for name, _ in axes]
     points = list(itertools.product(*(values for _, values in axes)))
+    # every point's config is validated before any point runs or writes
+    point_cfgs = [config_with(cfg, **dict(zip(names, point))) for point in points]
     threads = max(1, int(os.environ.get("METOK_THREADS", "1")))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     def run_point(index_point):
-        index, point = index_point
-        point_cfg = config_with(cfg, **dict(zip(names, point)))
+        index, (point, point_cfg) = index_point
         result = run_simulation(frames, text, point_cfg, steps=args.steps, analytic=args.analytic)
         point_dir = out / f"point_{index:03d}"
         point_dir.mkdir(parents=True, exist_ok=True)
@@ -244,9 +245,9 @@ def _cmd_sweep(args, argv) -> int:
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, enumerate(points)))
+            results = list(pool.map(run_point, enumerate(zip(points, point_cfgs))))
     else:
-        results = [run_point(ip) for ip in enumerate(points)]
+        results = [run_point(ip) for ip in enumerate(zip(points, point_cfgs))]
     results.sort(key=lambda row: row[0])
 
     lines = ["point," + ",".join(names) + ",flops_reduction_pct,kv_reduction_pct"]

@@ -26,7 +26,6 @@ from .schedule import PruneSchedule
 from .toy_llm import (
     DecodeOutput,
     apply_kv_policy,
-    attention_ratio_trace,
     build_prefill_input,
     decode,
     init_model,
@@ -71,11 +70,6 @@ class SimulationResult:
                 "logits_digest": _digest(self.baseline_decode_output.logits),
             }
         return out
-
-    def attention_ratios(self) -> np.ndarray | None:
-        if self.decode_output is None or self.decode_output.num_forwards < 1:
-            return None
-        return attention_ratio_trace(self.decode_output)
 
 
 def _digest(arr: np.ndarray) -> str:

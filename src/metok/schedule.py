@@ -17,7 +17,6 @@ from .data_io import RunConfig
 from .kernels import ceil_scaled, top_k_stable
 
 __all__ = [
-    "KeepSet",
     "PruneSchedule",
     "kv_keep_mask",
     "retention_ratio",
@@ -118,17 +117,6 @@ def token_importance(
         raise ValueError("no text query positions")
     rows = attn[:, text_positions, :][:, :, visual_positions]
     return rows.mean(axis=(0, 1))
-
-
-@dataclass(frozen=True)
-class KeepSet:
-    """One tier of surviving original positions per group, ascending."""
-
-    key: np.ndarray
-    non_key: np.ndarray
-
-    def of(self, group: str) -> np.ndarray:
-        return self.key if group == "key" else self.non_key
 
 
 def select_at_boundary(

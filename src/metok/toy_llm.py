@@ -11,18 +11,23 @@ measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
 sequence. Text positions are never pruned. Causal attention runs over blocks
 of query rows with q pre-scaled by 1/sqrt(head_dim), so no (heads, n, n)
-score tensor is ever built, and softmax is normalised after P·V. The final
-layer executes only the last prompt row, the one final_logits reads, so the
-executed work is below the counted 4*n^2*d attention and MLP terms. The
-decode-stage policy drops cached visual entries from the boundary layer l1
-upward, either physically or by -inf masking; the two paths agree up to float
-summation order. Layers it keeps whole are shared with its input, not copied.
+score tensor is ever built, and softmax is normalised after P·V. Heads run in
+chunks, at most one per CPU the process may use, on one reused score
+workspace; the result is bit-identical to one thread's. The final layer runs
+only the last prompt row, the one final_logits reads, so the executed work is
+below the counted 4*n^2*d attention and MLP terms. The decode-stage policy
+drops cached visual entries from the boundary layer l1 upward, either
+physically or by -inf masking; the two paths agree up to float summation
+order. Layers it keeps whole are shared with its input, not copied.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +58,8 @@ _PROJECTOR_SALT = 0x56495350
 # differ across block sizes by float summation order, so one constant keeps
 # every run bit-reproducible.
 _QBLOCK = 256
+# Fewest score-workspace elements (1 MiB) per head chunk; smaller ones cost more than they save.
+_CHUNK_SCORES = 1 << 17
 
 
 @dataclass
@@ -127,6 +134,12 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
 
 
+def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
+    """ReLU MLP of the rms-normed rows; the hidden block is rectified in place and freed."""
+    hidden = _rms_norm(x) @ w_in
+    return np.maximum(hidden, 0.0, out=hidden) @ w_out
+
+
 @dataclass
 class PrefillInput:
     """Concatenated model input: visual block first, then the text block."""
@@ -143,10 +156,6 @@ class PrefillInput:
         n_text = int(np.count_nonzero(self.is_text))
         if not np.array_equal(self.is_text, np.arange(n) >= n - n_text):
             raise ValueError("text block must follow the visual block")
-
-    @property
-    def num_text(self) -> int:
-        return int(np.count_nonzero(self.is_text))
 
 
 def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbedding) -> PrefillInput:
@@ -203,18 +212,17 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _causal_exp(
-    q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray
-) -> np.ndarray:
+def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """(heads, stop-start, stop) softmax numerators exp(s - row max) of query rows [start:stop].
 
     q is pre-scaled by 1/sqrt(head_dim). Row i sees keys [:i+1]. Keys before
     start are visible to every row, so -inf goes only into the diagonal tile
     [start:stop, start:stop], taken from the -inf upper triangle tile of at
-    least stop-start rows.
+    least stop-start rows. The block is written into out when given.
     """
     rows = stop - start
-    s = q[:, start:stop] @ k[:, :stop].transpose(0, 2, 1)
+    s = np.matmul(q[:, start:stop], k[:, :stop].transpose(0, 2, 1), out=out)
     s[:, :, start:] += tile[:rows, :rows]
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
@@ -234,25 +242,49 @@ def _upper_tile(size: int) -> np.ndarray:
     return np.triu(np.full((size, size), -np.inf), k=1)
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+@functools.cache  # two racing first calls may build a spare pool; both work
+def _head_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(thread_name_prefix="metok-heads")
+
+
 def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
     """(n-first, heads*head_dim) causal attention of split-head query rows [first:n], in blocks.
 
-    Working memory is one (heads, _QBLOCK, n) score block instead of a
+    Working memory is one (heads, _QBLOCK, n) score workspace instead of a
     (heads, n, n) tensor; each block reads only the keys it can see. Softmax
     is normalised after P·V, on the small (heads, rows, head_dim) output.
+    Heads run in contiguous chunks, at most one per usable CPU, the first on
+    the caller's thread; no head's arithmetic depends on its chunk.
     """
     heads, n, head_dim = q.shape
     block = min(_QBLOCK, n - first)
     tile = _upper_tile(block)
-    out = np.empty((n - first, heads * head_dim))
-    for start in range(first, n, block):
-        stop = min(start + block, n)
-        e = _causal_exp(q, k, start, stop, tile)
-        pv = e @ v[:, :stop]
-        pv /= e.sum(axis=-1, keepdims=True)
-        del e  # free the block before the next one is built
-        out[start - first : stop - first] = pv.transpose(1, 0, 2).reshape(stop - start, -1)
-    return out
+    scores = np.empty((heads, block, n))
+    out = np.empty((n - first, heads, head_dim))
+
+    def attend(h0: int, h1: int) -> None:  # heads [h0:h1] into their slots of out
+        for start in range(first, n, block):
+            stop = min(start + block, n)
+            e = _causal_exp(q[h0:h1], k[h0:h1], start, stop, tile,
+                            scores[h0:h1, : stop - start, :stop])
+            pv = e @ v[h0:h1, :stop]
+            pv /= e.sum(axis=-1, keepdims=True)
+            out[start - first : stop - first, h0:h1] = pv.transpose(1, 0, 2)
+
+    chunks = max(1, min(_usable_cpus(), heads, scores.size // _CHUNK_SCORES))
+    spans = [(i * heads // chunks, (i + 1) * heads // chunks) for i in range(chunks)]
+    pending = [_head_pool().submit(attend, *span) for span in spans[1:]]
+    try:
+        attend(*spans[0])
+    finally:  # no chunk may still write into out once this call has ended
+        for job in pending:
+            job.result()
+    return out.reshape(n - first, heads * head_dim)
 
 
 def _prune_boundary(
@@ -328,14 +360,14 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         cache.is_text.append(is_text.copy())
         cache.masked.append(np.zeros(n, dtype=bool))
         first = n - 1 if layer == model.layers - 1 else 0
-        out = _causal_attention(
+        # no name keeps the attention output alive into the next layer's workspace
+        x = x[first:] + _causal_attention(
             _split_heads(q_flat, model.heads),
             _split_heads(k_flat, model.heads),
             _split_heads(v_flat, model.heads),
             first,
-        )
-        x = x[first:] + out @ model.wo[layer]
-        x = x + np.maximum(_rms_norm(x) @ model.w_in[layer], 0.0) @ model.w_out[layer]
+        ) @ model.wo[layer]
+        x = x + _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
     return PrefillResult(
         cache=cache,
@@ -431,8 +463,7 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
             out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
             x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]
-            h2 = _rms_norm(x[None, :])
-            x = x + (np.maximum(h2 @ model.w_in[layer], 0.0) @ model.w_out[layer])[0]
+            x = x + _mlp(x[None, :], model.w_in[layer], model.w_out[layer])[0]
         logits = _rms_norm(x[None, :])[0] @ model.unembed
         tokens.append(int(np.argmax(logits)))
         logits_rows.append(logits)

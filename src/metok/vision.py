@@ -63,12 +63,6 @@ class EventPartition:
         ends = [b + 1 for b in self.boundaries] + [self.num_frames]
         return [range(s, e) for s, e in zip(starts, ends)]
 
-    def event_of_frame(self, frame: int) -> int:
-        for j, ev in enumerate(self.events):
-            if frame in ev:
-                return j
-        raise ValueError(f"frame {frame} out of range")
-
 
 def _frame_vectors(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
     """Per-frame vector used for similarity: token mean (default) or flat concat."""
@@ -244,14 +238,6 @@ def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
     partition.key_frame = np.ones(v.num_frames, dtype=bool)
     stride_of_frame = np.full(v.num_frames, stride, dtype=np.int64)
     return _pool_frames(v, partition, stride_of_frame)
-
-
-def expected_token_count(grid_h: int, grid_w: int, strides: np.ndarray) -> int:
-    """Closed-form retained count: sum over frames of ceil(h/s) * ceil(w/s)."""
-    total = 0
-    for s in strides:
-        total += math.ceil(grid_h / int(s)) * math.ceil(grid_w / int(s))
-    return total
 
 
 def run_vision_stage(

@@ -161,6 +161,16 @@ class TestSweep:
             assert ((serial / f"point_{i:03d}" / "report.json").read_bytes()
                     == (parallel / f"point_{i:03d}" / "report.json").read_bytes())
 
+    def test_invalid_point_fails_before_any_point_runs(self, data_dir, config_path, tmp_path):
+        # s1=5 exceeds the config's s2=3, but the valid point s1=2 comes first
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", str(config_path),
+                   "--input", str(data_dir / "video.mebf"),
+                   "--text", str(data_dir / "text.mebf"),
+                   "--out", str(out), "--param", "s1=2,5", "--analytic", "--steps", "4"])
+        assert rc == 2
+        assert not list(out.glob("point_*"))
+
     def test_unknown_param_is_usage_error(self, data_dir, config_path, tmp_path):
         rc = main(["sweep", "--config", str(config_path),
                    "--input", str(data_dir / "video.mebf"),

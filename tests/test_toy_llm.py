@@ -252,6 +252,29 @@ class TestBlockedAttention:
             got = _causal_attention(q / math.sqrt(4), k, v, first)
             assert float(np.max(np.abs(got - want[first:]))) <= 1e-12
 
+    @pytest.mark.parametrize("heads", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, B + 1, 2 * B + 17])
+    def test_head_chunks_bit_identical_to_one_chunk(self, n, heads, monkeypatch):
+        q, k, v = random_qkv(heads, n, 4, seed=n + heads)
+        for first in (0, n - 1):
+            monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU needs no pool
+            want = _causal_attention(q, k, v, first)
+            monkeypatch.undo()
+            monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # chunk even the smallest call
+            for cpus in (2, 3, 8):  # 3 heads on 2 CPUs split unevenly; 8 is capped at heads
+                monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
+                assert np.array_equal(_causal_attention(q, k, v, first), want)
+
+    def test_small_calls_stay_on_the_callers_thread(self, monkeypatch):
+        # a (4, B-1, B-1) workspace, or one final row, is too small to hand a chunk over
+        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(toy_llm, "_head_pool", None)
+        q, k, v = random_qkv(4, self.B - 1, 4, seed=3)
+        _causal_attention(q, k, v)
+        q, k, v = random_qkv(4, 2 * self.B + 17, 4, seed=4)
+        _causal_attention(q, k, v, 2 * self.B + 16)
+
     @pytest.mark.parametrize("m", [1, 7, B + 3])
     def test_text_rows_match_dense_rows(self, m):
         n = 2 * self.B + 17
@@ -437,10 +460,18 @@ class TestKvPolicyAndDecode:
         assert out.logits.shape[0] == 9
 
 
-# One toy simulation; prints digests of both decodes and the BLAS thread count
-# (None where OpenBLAS cannot be asked).
+# One toy simulation; prints digests of both decodes, the BLAS thread count
+# (None where OpenBLAS cannot be asked) and the CPUs the process may use (None
+# where that cannot be asked). With the argument "one-cpu" it first pins itself
+# to one CPU, so prefill attention runs all heads in one chunk.
 _THREAD_RUN = """
-import ctypes, hashlib, json
+import ctypes, hashlib, json, os, sys
+if sys.argv[1:] == ["one-cpu"] and hasattr(os, "sched_setaffinity"):
+    try:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    except OSError:
+        pass
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
 from metok.data_io import RunConfig, gen_synthetic
 from metok.pipeline import run_simulation
 
@@ -460,7 +491,7 @@ def blas_threads():
 frames, text = gen_synthetic(16, 8, 8, 32, seed=5, num_segments=4)
 cfg = RunConfig(k=4, layers=4, heads=4, d_model=64, layer_boundaries=(1, 2, 3))
 res = run_simulation(frames, text, cfg, steps=6)
-print(json.dumps({"threads": blas_threads(), "runs": [
+print(json.dumps({"threads": blas_threads(), "cpus": cpus, "runs": [
     {"tokens": out.tokens.tolist(),
      "logits": hashlib.sha256(out.logits.tobytes()).hexdigest(),
      "lengths": trace.layer_lengths}
@@ -472,15 +503,17 @@ print(json.dumps({"threads": blas_threads(), "runs": [
 def test_simulation_bit_identical_across_blas_thread_counts():
     src = str(Path(__file__).resolve().parents[1] / "src")
     results = []
-    for threads in ("1", "2"):
+    for threads, pin in (("1", []), ("2", []), ("1", ["one-cpu"])):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env, check=True,
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUN, *pin], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         got = json.loads(proc.stdout)
         assert got["threads"] in (None, int(threads))
+        if pin and got["cpus"] != 1:
+            continue  # affinity cannot be set here, so the one-CPU case is skipped
         results.append(got["runs"])
-    assert results[0] == results[1]
+    assert all(runs == results[0] for runs in results[1:])
     # the compressed run pruned, so both prefill paths were exercised
     assert results[0][0]["lengths"] != results[0][1]["lengths"]
 

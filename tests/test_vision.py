@@ -8,7 +8,6 @@ from metok.kernels import Rng64, ceil_scaled
 from metok.vision import (
     EventPartition,
     adaptive_pool,
-    expected_token_count,
     run_vision_stage,
     scaled_stride,
     score_relevance,
@@ -16,6 +15,11 @@ from metok.vision import (
     select_keys,
     uniform_stream,
 )
+
+
+def expected_token_count(grid_h, grid_w, strides):
+    """Closed-form retained count: sum over frames of ceil(h/s) * ceil(w/s)."""
+    return sum(math.ceil(grid_h / int(s)) * math.ceil(grid_w / int(s)) for s in strides)
 
 
 def frames_with_adjacent_sims(sims):
