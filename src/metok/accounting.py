@@ -12,8 +12,8 @@ token the same projection cost plus attention against the cached context:
 
 where c counts that layer's cached prompt survivors, previously generated
 tokens, and the token itself. KV memory is 2 (K and V) * positions * d_model *
-bytes_per_element, summed over layers, counting the per-layer prompt cache
-left after the decode-stage keep mask.
+BYTES_PER_ELEMENT, summed over layers, counting the per-layer prompt cache
+left after the decode-stage drop.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data_io import RunConfig
-from .schedule import PruneSchedule
+from .schedule import PruneSchedule, kv_drop_layer
 
 __all__ = [
     "InferenceTrace",
@@ -34,7 +34,7 @@ __all__ = [
     "reduction_report",
 ]
 
-DEFAULT_BYTES_PER_ELEMENT = 2  # half precision, the common serving default
+BYTES_PER_ELEMENT = 2  # half precision, the common serving default
 
 
 @dataclass
@@ -42,7 +42,7 @@ class InferenceTrace:
     """Per-layer shape of one run: enough to price it without re-running it."""
 
     layer_lengths: list[int]       # sequence length entering each layer at prefill
-    cached_positions: list[int]    # per-layer prompt cache after the decode keep mask
+    cached_positions: list[int]    # per-layer prompt cache after the decode-stage drop
     decode_steps: int              # decode forward passes (appended tokens)
     d_model: int
     mlp_ratio: float
@@ -55,10 +55,6 @@ class InferenceTrace:
             raise ValueError("decode_steps must be >= 0")
         if any(n < 0 for n in self.layer_lengths) or any(c < 0 for c in self.cached_positions):
             raise ValueError("negative counts in trace")
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_lengths)
 
 
 def layer_flops(n: int, d_model: int, mlp_ratio: float) -> float:
@@ -80,9 +76,9 @@ def pipeline_flops(trace: InferenceTrace) -> float:
     return total
 
 
-def kv_bytes(trace: InferenceTrace, bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT) -> int:
+def kv_bytes(trace: InferenceTrace) -> int:
     """KV-cache footprint of the prompt: 2 * positions * d_model * element size, per layer."""
-    return 2 * trace.d_model * bytes_per_element * sum(trace.cached_positions)
+    return 2 * trace.d_model * BYTES_PER_ELEMENT * sum(trace.cached_positions)
 
 
 @dataclass
@@ -140,7 +136,6 @@ def reduction_report(
     baseline: InferenceTrace,
     compressed: InferenceTrace,
     config: dict | None = None,
-    bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT,
     deterministic_timing: bool = True,
 ) -> ReductionReport:
     """Compare two traces metric by metric.
@@ -159,8 +154,8 @@ def reduction_report(
     return ReductionReport(
         flops_baseline=flops_b,
         flops_compressed=pipeline_flops(compressed),
-        kv_baseline=kv_bytes(baseline, bytes_per_element),
-        kv_compressed=kv_bytes(compressed, bytes_per_element),
+        kv_baseline=kv_bytes(baseline),
+        kv_compressed=kv_bytes(compressed),
         prefill_ms_baseline=ms_b,
         prefill_ms_compressed=ms_c,
         config=config or {},
@@ -184,7 +179,7 @@ def analytic_trace(
         sched.keep_count(l, "key") + sched.keep_count(l, "non_key") + text_len
         for l in range(cfg.layers)
     ]
-    drop_layer = sched.kv_drop_layer() if cfg.stage_enabled("decode") else cfg.layers
+    drop_layer = kv_drop_layer(cfg)
     cached = [lengths[l] if l < drop_layer else text_len for l in range(cfg.layers)]
     return InferenceTrace(
         layer_lengths=lengths,

@@ -50,8 +50,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write via a same-directory temp file and a rename: a failed write keeps the old file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(
@@ -187,7 +199,7 @@ def _cmd_diag_attention_ratio(args, argv) -> int:
     lines = ["layer,visual_ratio,text_ratio"]
     for layer in range(ratios.shape[0]):
         lines.append(f"{layer},{ratios[layer, 0]:.12g},{ratios[layer, 1]:.12g}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
     _write_manifest(
         out, "diag attention-ratio", argv, cfg.seed, cfg.to_dict(),
         {"input": Path(args.input), "text": Path(args.text)}, [csv_path],
@@ -255,7 +267,7 @@ def _cmd_sweep(args, argv) -> int:
         values = ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in point)
         lines.append(f"{index},{values},{rep.flops_reduction_pct:.12g},{rep.kv_reduction_pct:.12g}")
     summary_path = out / "summary.csv"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_text(summary_path, "\n".join(lines) + "\n")
     artifacts = [summary_path] + [out / f"point_{i:03d}" / "report.json" for i, _, _ in results]
     _write_manifest(
         out, "sweep", argv, cfg.seed, cfg.to_dict(),

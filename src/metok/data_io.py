@@ -159,50 +159,50 @@ def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> 
 
 
 def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
-    """Parse an MEBF file into the record it holds."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 6:
-        raise TruncatedPayloadError(f"{path}: file shorter than MEBF header")
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if raw[4] != VERSION:
-        raise MebfError(f"{path}: unsupported version {raw[4]}")
-    rec_type = raw[5]
-    if rec_type == REC_FRAMES:
-        if len(raw) < 6 + 16:
-            raise TruncatedPayloadError(f"{path}: frame header truncated")
-        t, h, w, d = struct.unpack_from("<4I", raw, 6)
-        if min(t, h, w, d) < 1:
+    """Parse an MEBF file into the record it holds.
+
+    The header is checked against the file size before any payload byte is
+    read, and every malformed file raises an MebfError.
+    """
+    size = Path(path).stat().st_size
+    with open(path, "rb") as fh:
+        head = fh.read(6)
+        if len(head) < 6:
+            raise TruncatedPayloadError(f"{path}: file shorter than MEBF header")
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        if head[4] != VERSION:
+            raise MebfError(f"{path}: unsupported version {head[4]}")
+        rec_type = head[5]
+        if rec_type not in (REC_FRAMES, REC_TEXT):
+            raise MebfError(f"{path}: unknown record type {rec_type}")
+        n_dims = 4 if rec_type == REC_FRAMES else 2
+        raw = fh.read(4 * n_dims)
+        if len(raw) < 4 * n_dims:
+            raise TruncatedPayloadError(f"{path}: record header truncated")
+        dims = struct.unpack(f"<{n_dims}I", raw)
+        if min(dims) < 1:
             raise MebfError(f"{path}: zero dimension in header")
-        count = t * h * w * d
+        count = math.prod(dims) if rec_type == REC_FRAMES else sum(dims)
         if count > MAX_ELEMENTS:
             raise DimensionOverflowError(f"{path}: header claims {count} elements")
-        body = raw[22:]
-        if len(body) < 4 * count:
+        payload = size - fh.tell()
+        if payload < 4 * count:
             raise TruncatedPayloadError(
-                f"{path}: payload holds {len(body) // 4} floats, header claims {count}"
+                f"{path}: payload holds {payload // 4} elements, header claims {count}"
             )
-        if len(body) > 4 * count:
-            raise MebfError(f"{path}: {len(body) - 4 * count} trailing bytes")
-        tokens = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, h * w, d)
-        return FrameEmbeddings(tokens=tokens, grid_h=h, grid_w=w)
-    if rec_type == REC_TEXT:
-        if len(raw) < 6 + 8:
-            raise TruncatedPayloadError(f"{path}: text header truncated")
-        d, m = struct.unpack_from("<2I", raw, 6)
-        if d < 1 or m < 1:
-            raise MebfError(f"{path}: zero dimension in header")
-        if d + m > MAX_ELEMENTS:
-            raise DimensionOverflowError(f"{path}: header claims {d + m} elements")
-        body = raw[14:]
-        if len(body) < 4 * (d + m):
-            raise TruncatedPayloadError(f"{path}: text payload truncated")
-        if len(body) > 4 * (d + m):
-            raise MebfError(f"{path}: {len(body) - 4 * (d + m)} trailing bytes")
-        vector = np.frombuffer(body[: 4 * d], dtype="<f4").astype(np.float64)
-        ids = np.frombuffer(body[4 * d :], dtype="<u4").astype(np.int64)
-        return TextEmbedding(vector=vector, token_ids=ids)
-    raise MebfError(f"{path}: unknown record type {rec_type}")
+        if payload > 4 * count:
+            raise MebfError(f"{path}: {payload - 4 * count} trailing bytes")
+        try:  # values the header cannot vouch for, such as non-finite or zero-norm ones
+            if rec_type == REC_FRAMES:
+                t, h, w, d = dims
+                tokens = np.fromfile(fh, "<f4", count).astype(np.float64)
+                return FrameEmbeddings(tokens=tokens.reshape(t, h * w, d), grid_h=h, grid_w=w)
+            vector = np.fromfile(fh, "<f4", dims[0]).astype(np.float64)
+            ids = np.fromfile(fh, "<u4", dims[1]).astype(np.int64)
+            return TextEmbedding(vector=vector, token_ids=ids)
+        except ValueError as e:
+            raise MebfError(f"{path}: {e}") from e
 
 
 NOISE_SCALE = 0.05

@@ -17,7 +17,6 @@ __all__ = [
     "avg_pool_2d",
     "ceil_scaled",
     "cosine",
-    "softmax_row",
     "top_k_stable",
 ]
 
@@ -52,12 +51,8 @@ class Rng64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def next_unit(self) -> float:
-        """Uniform draw in [-1, 1): top 53 bits give a uniform in [0, 1), then scale."""
-        return (self.next_raw() >> 11) * 2.0**-53 * 2.0 - 1.0
-
     def next_unit_array(self, n: int) -> np.ndarray:
-        """Vectorized next_unit: same stream as n scalar calls, advancing the state.
+        """n uniform draws in [-1, 1), each the top 53 bits of one next_raw() output.
 
         SplitMix64 state advances linearly (state_i = state_0 + i*gamma mod 2^64),
         so a block of outputs is the mix function applied elementwise.
@@ -129,18 +124,6 @@ def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k]).astype(np.int64)
-
-
-def softmax_row(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax; -inf entries are masked and map to exactly 0."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("logits must be 1-D")
-    m = np.max(x)
-    if m == -np.inf:
-        raise ValueError("softmax over fully masked row")
-    e = np.exp(x - m)
-    return e / np.sum(e)
 
 
 def ceil_scaled(ratio: float, n: int) -> int:

@@ -22,7 +22,7 @@ from .accounting import (
     reduction_report,
 )
 from .data_io import FrameEmbeddings, RunConfig, TextEmbedding, config_with
-from .schedule import PruneSchedule
+from .schedule import PruneSchedule, kv_drop_layer
 from .toy_llm import (
     DecodeOutput,
     apply_kv_policy,
@@ -40,7 +40,6 @@ _BASELINE_STAGES = ("vision", "prefill", "decode")
 
 @dataclass
 class SimulationResult:
-    config: RunConfig
     stream: TokenStream
     partition: EventPartition
     compressed: InferenceTrace
@@ -87,13 +86,11 @@ def compress_stats(stream: TokenStream, partition: EventPartition, raw_tokens: i
         "nonkey_group_tokens": n_nonkey,
         "num_events": partition.num_events,
         "event_boundaries": list(partition.boundaries),
-        "key_events": [bool(b) for b in partition.key_event]
-        if partition.key_event is not None else [],
+        "key_events": [bool(b) for b in partition.key_event],
         "key_frames_per_event": [
             int(np.count_nonzero(partition.key_frame[ev.start : ev.stop]))
             for ev in partition.events
-        ]
-        if partition.key_frame is not None else [],
+        ],
         "frame_strides": stream.frame_strides.tolist(),
     }
 
@@ -109,8 +106,7 @@ def _toy_trace(
     sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
     inp = build_prefill_input(model, stream, text)
     res = prefill(model, inp, sched)
-    drop_layer = sched.kv_drop_layer() if cfg.stage_enabled("decode") else cfg.layers
-    cache = apply_kv_policy(res.cache, drop_layer)
+    cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
     cached_counts = cache.entry_counts()
     out = None
     if steps >= 1:
@@ -161,7 +157,6 @@ def run_simulation(
         base, compressed, config=cfg.to_dict(), deterministic_timing=not record_timing
     )
     return SimulationResult(
-        config=cfg,
         stream=stream,
         partition=partition,
         compressed=compressed,

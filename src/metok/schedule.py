@@ -1,10 +1,13 @@
-"""Layer-wise retention schedule, attention-guided selection, and the decode KV policy.
+"""Layer-wise retention schedule, attention-guided selection, and the decode KV rule.
 
 Retention ratios are expressed against each group's ORIGINAL count entering the
 model. Key-group tokens step 1 -> r -> r^2 -> 0 across the boundaries
 (l1, l2, l3); non-key tokens step 1 -> alpha*r -> 0 and are gone from l2 on.
 A boundary layer prunes its own input: the "drop" branch applies at and above
 the boundary, so retention is right-continuous in the layer index.
+
+The decode stage drops cached visual entries from the configured l1 upward
+(kv_drop_layer), whether or not the prefill stage prunes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .kernels import ceil_scaled, top_k_stable
 
 __all__ = [
     "PruneSchedule",
-    "kv_keep_mask",
+    "kv_drop_layer",
     "retention_ratio",
     "select_at_boundary",
     "token_importance",
@@ -74,9 +77,10 @@ class PruneSchedule:
         """Boundaries that fall inside the stack, in forward order."""
         return tuple(b for b in (self.l1, self.l2, self.l3) if b < self.total_layers)
 
-    def kv_drop_layer(self) -> int:
-        """First layer whose cached visual entries the decode policy removes."""
-        return self.l1
+
+def kv_drop_layer(cfg: RunConfig) -> int:
+    """First layer whose cached visual entries the decode stage removes (cfg.layers: none)."""
+    return cfg.layer_boundaries[0] if cfg.stage_enabled("decode") else cfg.layers
 
 
 def retention_ratio(layer: int, group: str, sched: PruneSchedule) -> float:
@@ -143,34 +147,3 @@ def select_at_boundary(
         )
     return survivor_ids[top_k_stable(scores, keep)]
 
-
-def kv_keep_mask(
-    sched: PruneSchedule,
-    total_layers: int,
-    text_positions: np.ndarray,
-    visual_positions: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-layer keep masks over the cached prompt positions for the decode stage.
-
-    Layers below l1 keep every position; layers at or above it keep only the
-    text positions. Returns (positions, masks): the sorted union of the given
-    positions and one boolean mask per layer aligned to it. Text positions are
-    never removed at any layer.
-    """
-    if sched.l1 > total_layers:
-        raise ValueError(f"l1={sched.l1} exceeds layer count {total_layers}")
-    text_positions = np.asarray(text_positions, dtype=np.int64)
-    visual_positions = np.asarray(visual_positions, dtype=np.int64)
-    positions = np.concatenate([visual_positions, text_positions])
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    is_text = np.concatenate(
-        [np.zeros(visual_positions.size, dtype=bool), np.ones(text_positions.size, dtype=bool)]
-    )[order]
-    masks = []
-    for layer in range(total_layers):
-        if layer < sched.l1:
-            masks.append(np.ones(positions.size, dtype=bool))
-        else:
-            masks.append(is_text.copy())
-    return positions, masks

@@ -16,9 +16,11 @@ chunks, at most one per CPU the process may use, on one reused score
 workspace; the result is bit-identical to one thread's. The final layer runs
 only the last prompt row, the one final_logits reads, so the executed work is
 below the counted 4*n^2*d attention and MLP terms. The decode-stage policy
-drops cached visual entries from the boundary layer l1 upward, either
-physically or by -inf masking; the two paths agree up to float summation
-order. Layers it keeps whole are shared with its input, not copied.
+drops cached visual entries from a given layer upward (the pipeline passes
+schedule.kv_drop_layer), either physically or by -inf masking from that
+layer; the two paths agree up to float summation order. The cache stores no
+per-entry flags: text is the last M original position ids. Layers the policy
+keeps whole are shared with its input, not copied.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class ToyModel:
     layers: int
     heads: int
     d_model: int
-    mlp_hidden: int
     vocab: int
     seed: int
     embed: np.ndarray
@@ -106,7 +107,7 @@ def init_model(cfg: RunConfig) -> ToyModel:
         w_out.append(draw(hidden, d))
     unembed = draw(d, VOCAB)
     return ToyModel(
-        layers=cfg.layers, heads=cfg.heads, d_model=d, mlp_hidden=hidden,
+        layers=cfg.layers, heads=cfg.heads, d_model=d,
         vocab=VOCAB, seed=cfg.seed, embed=embed, unembed=unembed,
         wq=wq, wk=wk, wv=wv, wo=wo, w_in=w_in, w_out=w_out,
     )
@@ -177,22 +178,28 @@ def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbeddin
 
 @dataclass
 class KvCache:
-    """Per-layer cached keys/values plus the surviving position metadata.
+    """Per-layer cached keys/values of the surviving prompt positions.
 
-    masked entries stay in place but attract -inf attention scores; the drop
-    path removes them instead. decode() reads the cache and never writes it.
+    Text is the last text_len original ids of the prompt_len. Visual entries of
+    layers from mask_from upward stay in place but attract -inf attention
+    scores; mask_from is the layer count when nothing is masked. decode() reads
+    the cache and never writes it.
     """
 
+    prompt_len: int
+    text_len: int
+    mask_from: int
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
     v: list[np.ndarray] = field(default_factory=list)
     position_ids: list[np.ndarray] = field(default_factory=list)
-    is_text: list[np.ndarray] = field(default_factory=list)
-    masked: list[np.ndarray] = field(default_factory=list)
-    prompt_len: int = 0
 
     @property
     def num_layers(self) -> int:
         return len(self.k)
+
+    def text_mask(self, layer: int) -> np.ndarray:
+        """Which of the layer's cached entries are text positions."""
+        return self.position_ids[layer] >= self.prompt_len - self.text_len
 
     def entry_counts(self) -> list[int]:
         """Physically stored entries per layer (masked entries included)."""
@@ -334,7 +341,8 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     ids = inp.position_ids
     is_text, is_key = inp.is_text, inp.is_key
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=inp.x.shape[0])
+    cache = KvCache(prompt_len=inp.x.shape[0], text_len=int(np.count_nonzero(is_text)),
+                    mask_from=model.layers)
     lengths = []
     q_scale = 1.0 / math.sqrt(model.head_dim)
     for layer in range(model.layers):
@@ -357,8 +365,6 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         cache.k.append(k_flat)
         cache.v.append(v_flat)
         cache.position_ids.append(ids.copy())
-        cache.is_text.append(is_text.copy())
-        cache.masked.append(np.zeros(n, dtype=bool))
         first = n - 1 if layer == model.layers - 1 else 0
         # no name keeps the attention output alive into the next layer's workspace
         x = x[first:] + _causal_attention(
@@ -380,26 +386,21 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
 def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCache:
     """Remove cached visual entries from drop_layer upward; text always stays.
 
-    mode "drop" deletes the entries; mode "neg_inf" keeps them flagged so
-    attention masks them, which must match the drop path up to float rounding.
-    Layers below drop_layer, and every array but masked in neg_inf mode, are
-    the input cache's own arrays, shared rather than copied: both caches are
-    read-only.
+    mode "drop" deletes the entries; mode "neg_inf" keeps them and masks them
+    from drop_layer upward, which must match the drop path up to float
+    rounding. Every array the policy does not filter is the input cache's own,
+    shared rather than copied: both caches are read-only.
     """
     if mode not in ("drop", "neg_inf"):
         raise ValueError(f"unknown mode {mode!r}")
-    out = KvCache(prompt_len=cache.prompt_len)
+    mask_from = min(cache.mask_from, drop_layer) if mode == "neg_inf" else cache.mask_from
+    out = KvCache(cache.prompt_len, cache.text_len, mask_from)
     for layer in range(cache.num_layers):
-        text = cache.is_text[layer]
-        arrays = (cache.k[layer], cache.v[layer], cache.position_ids[layer], text,
-                  cache.masked[layer])
-        if layer < drop_layer:
-            kept = arrays
-        elif mode == "drop":
-            kept = tuple(a[text] for a in arrays)
-        else:
-            kept = arrays[:4] + (cache.masked[layer] | ~text,)
-        for dest, a in zip((out.k, out.v, out.position_ids, out.is_text, out.masked), kept):
+        arrays = (cache.k[layer], cache.v[layer], cache.position_ids[layer])
+        if mode == "drop" and layer >= drop_layer:
+            text = cache.text_mask(layer)
+            arrays = tuple(a[text] for a in arrays)
+        for dest, a in zip((out.k, out.v, out.position_ids), arrays):
             dest.append(a)
     return out
 
@@ -433,6 +434,7 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     attn_split = np.zeros((steps - 1, model.layers, 2))
     gen_k = np.empty((model.layers, steps - 1, model.d_model))
     gen_v = np.empty((model.layers, steps - 1, model.d_model))
+    text = [cache.text_mask(layer) for layer in range(model.layers)]
     scale = math.sqrt(model.head_dim)
     for s in range(steps - 1):
         pos = cache.prompt_len + s
@@ -450,16 +452,14 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             scores = np.concatenate(
                 [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
             )[:, 0, :] / scale
-            masked = cache.masked[layer]
-            if masked.any():
-                scores[:, np.flatnonzero(masked)] = -np.inf
+            if layer >= cache.mask_from:
+                scores[:, :c][:, ~text[layer]] = -np.inf
             scores -= scores.max(axis=-1, keepdims=True)
             p = np.exp(scores)
             p /= p.sum(axis=-1, keepdims=True)
             head_mean = p[:, :c].mean(axis=0)
-            text = cache.is_text[layer]
-            attn_split[s, layer, 0] = head_mean[~text].sum()
-            attn_split[s, layer, 1] = head_mean[text].sum()
+            attn_split[s, layer, 0] = head_mean[~text[layer]].sum()
+            attn_split[s, layer, 1] = head_mean[text[layer]].sum()
             out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
             out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
             x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]

@@ -4,13 +4,15 @@ The stage splits a video into contiguous events at the deepest dips in
 adjacent-frame similarity, ranks events and frames by text relevance, and then
 pools each frame at a stride chosen by its key/non-key event and frame status.
 Non-key events get their strides widened by 1/alpha so they are downsampled
-harder than key events.
+harder than key events. Each pooled token keeps only its event's key flag, the
+group tag the prefill schedule reads. The disabled stage (the bypass) pools
+every frame uniformly under one all-key partition, built by _all_key_partition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,20 +142,15 @@ def scaled_stride(stride: int, alpha: float) -> int:
 
 @dataclass
 class TokenStream:
-    """Flat post-pooling token sequence with per-token provenance.
+    """Flat post-pooling token sequence with each token's group tag.
 
     Tokens of the same frame are contiguous and frames appear in temporal
-    order. grid_pos holds each pooled token's window origin (row, col) in the
-    original frame grid. key_event is the group tag the pruning schedule uses.
+    order. key_event is the group tag the pruning schedule uses.
     """
 
     tokens: np.ndarray                      # (n, d)
-    event_id: np.ndarray                    # (n,)
-    frame_id: np.ndarray                    # (n,)
     key_event: np.ndarray                   # (n,) bool
-    key_frame: np.ndarray                   # (n,) bool
-    grid_pos: np.ndarray                    # (n, 2)
-    frame_strides: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    frame_strides: np.ndarray               # (T,) pooling stride of each frame
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -173,30 +170,12 @@ def _pool_frames(
     partition: EventPartition,
     stride_of_frame: np.ndarray,
 ) -> TokenStream:
-    chunks, ev_ids, fr_ids, kev, kfr, pos = [], [], [], [], [], []
-    event_of = np.empty(v.num_frames, dtype=np.int64)
-    for j, ev in enumerate(partition.events):
-        event_of[ev.start : ev.stop] = j
-    for i in range(v.num_frames):
-        stride = int(stride_of_frame[i])
-        pooled = avg_pool_2d(v.frame_grid(i), stride)
-        ph, pw = pooled.shape[0], pooled.shape[1]
-        n = ph * pw
-        chunks.append(pooled.reshape(n, v.dim))
-        ev_ids.append(np.full(n, event_of[i]))
-        fr_ids.append(np.full(n, i))
-        j = event_of[i]
-        kev.append(np.full(n, bool(partition.key_event[j])))
-        kfr.append(np.full(n, bool(partition.key_frame[i])))
-        rows, cols = np.divmod(np.arange(n), pw)
-        pos.append(np.stack([rows * stride, cols * stride], axis=1))
+    chunks = [avg_pool_2d(v.frame_grid(i), int(stride_of_frame[i])).reshape(-1, v.dim)
+              for i in range(v.num_frames)]
+    key_of_frame = np.repeat(partition.key_event, [len(ev) for ev in partition.events])
     return TokenStream(
         tokens=np.concatenate(chunks, axis=0),
-        event_id=np.concatenate(ev_ids),
-        frame_id=np.concatenate(fr_ids),
-        key_event=np.concatenate(kev),
-        key_frame=np.concatenate(kfr),
-        grid_pos=np.concatenate(pos, axis=0),
+        key_event=np.repeat(key_of_frame, [c.shape[0] for c in chunks]),
         frame_strides=stride_of_frame.astype(np.int64),
     )
 
@@ -228,16 +207,19 @@ def adaptive_pool(
     return _pool_frames(v, partition, stride_of_frame)
 
 
+def _all_key_partition(num_frames: int) -> EventPartition:
+    """The bypass partition: one event, key, whose every frame is key."""
+    return EventPartition(num_frames=num_frames, boundaries=(), key_event=np.array([True]),
+                          key_frame=np.ones(num_frames, dtype=bool))
+
+
 def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
     """Bypass path: one event, every frame key, uniform pooling at the given stride.
 
-    stride 1 (the default) emits the raw tokens unchanged, with provenance.
+    stride 1 (the default) emits the raw tokens unchanged.
     """
-    partition = EventPartition(num_frames=v.num_frames, boundaries=())
-    partition.key_event = np.array([True])
-    partition.key_frame = np.ones(v.num_frames, dtype=bool)
     stride_of_frame = np.full(v.num_frames, stride, dtype=np.int64)
-    return _pool_frames(v, partition, stride_of_frame)
+    return _pool_frames(v, _all_key_partition(v.num_frames), stride_of_frame)
 
 
 def run_vision_stage(
@@ -251,11 +233,7 @@ def run_vision_stage(
     (raw tokens when that stride is 1) under a single all-key event.
     """
     if not cfg.stage_enabled("vision"):
-        stream = uniform_stream(v, cfg.baseline_stride)
-        partition = EventPartition(num_frames=v.num_frames, boundaries=())
-        partition.key_event = np.array([True])
-        partition.key_frame = np.ones(v.num_frames, dtype=bool)
-        return stream, partition
+        return uniform_stream(v, cfg.baseline_stride), _all_key_partition(v.num_frames)
     partition = segment_events(v, cfg.k, cfg.frame_reduce)
     partition = score_relevance(v, text, partition, cfg.event_score)
     partition = select_keys(partition, cfg.alpha, cfg.beta)

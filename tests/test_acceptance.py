@@ -143,7 +143,7 @@ def test_criterion_4_softmax_exclusion_identity():
             r=0.5, alpha=0.5, total_layers=layers, n_key=n_key, n_nonkey=n_nonkey,
         )
         res = prefill(model, inp, sched)
-        drop = sched.kv_drop_layer()
+        drop = sched.l1
         out_drop = decode(model, apply_kv_policy(res.cache, drop, "drop"), 4, res.final_logits)
         out_mask = decode(model, apply_kv_policy(res.cache, drop, "neg_inf"), 4, res.final_logits)
         assert np.array_equal(out_drop.tokens, out_mask.tokens)

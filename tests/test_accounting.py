@@ -9,9 +9,10 @@ from metok.accounting import (
     pipeline_flops,
     reduction_report,
 )
-from metok.data_io import RunConfig, config_with
+from metok.data_io import RunConfig, config_with, gen_synthetic, read_embeddings, write_embeddings
 from metok.kernels import Rng64
-from metok.schedule import PruneSchedule
+from metok.pipeline import run_simulation
+from metok.schedule import PruneSchedule, kv_drop_layer
 from metok.toy_llm import apply_kv_policy, build_prefill_input, init_model, prefill
 from tests.test_toy_llm import make_stream, make_text
 
@@ -67,7 +68,7 @@ class TestPipelineFlops:
 class TestKvBytes:
     def test_hand_case(self):
         t = trace([110, 110, 10, 10], cached=[110, 110, 10, 10], d=8)
-        assert kv_bytes(t, bytes_per_element=4) == 15360
+        assert kv_bytes(t) == 2 * 8 * 2 * 240
 
     def test_zero_layers(self):
         assert kv_bytes(trace([])) == 0
@@ -139,7 +140,7 @@ class TestAnalyticMatchesMeasured:
             res = prefill(model, inp, sched)
             expected = analytic_trace(cfg, n_key, n_nonkey, m, 0)
             assert res.layer_lengths == expected.layer_lengths
-            masked = apply_kv_policy(res.cache, sched.kv_drop_layer())
+            masked = apply_kv_policy(res.cache, kv_drop_layer(cfg))
             assert masked.entry_counts() == expected.cached_positions
 
     def test_kv_bytes_match_stored_entries(self):
@@ -149,7 +150,45 @@ class TestAnalyticMatchesMeasured:
         inp = build_prefill_input(model, stream, make_text(4, 8, seed=5))
         sched = PruneSchedule.from_config(cfg, 20, 12)
         res = prefill(model, inp, sched)
-        masked = apply_kv_policy(res.cache, sched.kv_drop_layer())
+        masked = apply_kv_policy(res.cache, kv_drop_layer(cfg))
         stored = sum(masked.entry_counts())
         t = analytic_trace(cfg, 20, 12, 4, 0)
         assert kv_bytes(t) == 2 * cfg.d_model * 2 * stored
+
+
+@pytest.fixture(scope="module")
+def criterion_8_inputs(tmp_path_factory):
+    """The criterion-8 video and prompt, after their MEBF round trip."""
+    out = tmp_path_factory.mktemp("criterion_8")
+    paths = []
+    for name, obj in zip(("video.mebf", "text.mebf"),
+                         gen_synthetic(16, 4, 4, 16, seed=11, num_segments=4)):
+        write_embeddings(obj, out / name)
+        paths.append(out / name)
+    return [read_embeddings(p) for p in paths]
+
+
+class TestStageToggleMatrix:
+    """Every subset of disable_stages, each with decode on and off."""
+
+    @pytest.mark.parametrize("others", [(), ("vision",), ("prefill",), ("vision", "prefill")])
+    def test_each_toggle_moves_only_its_stage(self, criterion_8_inputs, others):
+        frames, text = criterion_8_inputs
+        lengths = {}
+        for decode in (True, False):
+            cfg = RunConfig(k=4, layers=8, heads=2, d_model=32, layer_boundaries=(2, 4, 6),
+                            disable_stages=others + (() if decode else ("decode",)))
+            toy = run_simulation(frames, text, cfg, steps=5)
+            priced = run_simulation(frames, text, cfg, steps=5, analytic=True)
+            for run in ("compressed", "baseline"):
+                a, b = getattr(toy, run), getattr(priced, run)
+                assert (a.layer_lengths, a.cached_positions) == (b.layer_lengths,
+                                                                 b.cached_positions)
+            assert toy.report.to_dict() == priced.report.to_dict()
+            got = toy.compressed
+            if decode:  # from l1 = 2 on, only the prompt's text stays cached
+                assert got.cached_positions[2:] == [text.num_tokens] * 6
+            else:
+                assert got.cached_positions == got.layer_lengths
+            lengths[decode] = got.layer_lengths
+        assert lengths[True] == lengths[False]

@@ -1,8 +1,10 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from metok import cli
 from metok.cli import main
 
 
@@ -110,6 +112,46 @@ class TestSimulate:
         for rel, digest in manifest["artifacts"].items():
             got = hashlib.sha256((out / rel).read_bytes()).hexdigest()
             assert got == digest
+
+
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    def test_failed_write_keeps_previous_artifact(self, data_dir, config_path, tmp_path,
+                                                  monkeypatch, fail_at):
+        out = tmp_path / "sim"
+        assert run_sim(data_dir, config_path, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open, real_replace = open, os.replace
+
+        class HalfWriter:  # writes half of the payload, then fails like a full disk
+            def __init__(self, path, mode):
+                self.fh = real_open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        def failing_open(path, mode):  # only trace.json's temp file fails
+            opener = HalfWriter if Path(path).name.startswith(".trace.json.") else real_open
+            return opener(path, mode)
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "trace.json":
+                raise OSError("rename failed")
+            real_replace(src, dst)
+
+        if fail_at == "write":
+            monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", failing_replace)
+        assert run_sim(data_dir, config_path, out) == 2
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestDiag:

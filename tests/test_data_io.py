@@ -1,5 +1,10 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metok.data_io import (
     BadMagicError,
@@ -97,6 +102,90 @@ class TestMebfErrors:
         p.write_bytes(p.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(MebfError):
             read_embeddings(p)
+
+
+    def test_bad_magic_rejected_before_the_payload_is_read(self, tmp_path):
+        p = tmp_path / "big.mebf"
+        with open(p, "wb") as fh:  # sparse: 256 MiB on paper, no disk blocks
+            fh.write(b"XXXX")
+            fh.truncate(256 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadMagicError):
+                read_embeddings(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        emb, _ = gen_synthetic(1, 2, 2, 2, seed=0)
+        p = tmp_path / "v.mebf"
+        write_embeddings(emb, p)
+        data = bytearray(p.read_bytes())
+        data[-4:] = struct.pack("<f", bad)
+        p.write_bytes(bytes(data))
+        with pytest.raises(MebfError):
+            read_embeddings(p)
+
+    def test_zero_norm_text(self, tmp_path):
+        p = tmp_path / "t.mebf"
+        p.write_bytes(struct.pack("<4sBB2I", b"MEBF", 1, 2, 3, 1) + bytes(12) + bytes(4))
+        with pytest.raises(MebfError):
+            read_embeddings(p)
+
+
+def _valid_files(tmp_path):
+    emb, text = gen_synthetic(2, 2, 3, 4, seed=5, text_len=3)
+    out = []
+    for name, obj in (("v.mebf", emb), ("t.mebf", text)):
+        write_embeddings(obj, tmp_path / name)
+        out.append((tmp_path / name).read_bytes())
+    return out
+
+
+class TestMebfProperties:
+    """Fixed-seed property runs, so the suite stays deterministic and fast."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(which=st.integers(0, 1), cut=st.integers(0, 200),
+           flips=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 255)), max_size=4))
+    def test_mutated_or_truncated_file_raises_only_mebf_errors(self, tmp_path, which, cut,
+                                                               flips):
+        data = bytearray(_valid_files(tmp_path)[which])
+        for pos, xor in flips:
+            data[pos % len(data)] ^= xor
+        p = tmp_path / "m.mebf"
+        p.write_bytes(bytes(data[: len(data) - cut % (len(data) + 1)]))
+        try:
+            read_embeddings(p)
+        except MebfError:
+            pass
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                           st.integers(1, 4)),
+           data=st.data())
+    def test_write_read_round_trip_within_one_quantisation(self, tmp_path, shape, data):
+        t, h, w, d = shape
+        values = data.draw(st.lists(st.floats(-3e38, 3e38), min_size=t * h * w * d,
+                                    max_size=t * h * w * d))
+        tokens = np.array(values).reshape(t, h * w, d)
+        p = tmp_path / "v.mebf"
+        write_embeddings(FrameEmbeddings(tokens=tokens, grid_h=h, grid_w=w), p)
+        back = read_embeddings(p)
+        assert (back.grid_h, back.grid_w) == (h, w)
+        assert np.array_equal(back.tokens, tokens.astype(np.float32).astype(np.float64))
+        ids = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+        vector = tokens.reshape(-1)[:d]
+        if np.any(vector.astype(np.float32) != 0):
+            write_embeddings(TextEmbedding(vector=vector, token_ids=np.array(ids)), p)
+            back = read_embeddings(p)
+            assert np.array_equal(back.vector, vector.astype(np.float32).astype(np.float64))
+            assert back.token_ids.tolist() == ids
 
 
 class TestGenSynthetic:

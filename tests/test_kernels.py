@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,13 @@ from metok.kernels import (
     avg_pool_2d,
     ceil_scaled,
     cosine,
-    softmax_row,
     top_k_stable,
 )
+
+
+def next_unit(rng):
+    """Scalar oracle of Rng64.next_unit_array: the top 53 bits of one raw output, in [-1, 1)."""
+    return (rng.next_raw() >> 11) * 2.0**-53 * 2.0 - 1.0
 
 
 class TestCosine:
@@ -30,7 +32,7 @@ class TestCosine:
         for _ in range(50):
             a = rng.next_unit_array(8)
             b = rng.next_unit_array(8)
-            c = abs(rng.next_unit()) * 10 + 0.01
+            c = abs(next_unit(rng)) * 10 + 0.01
             assert cosine(c * a, b) == pytest.approx(cosine(a, b), abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -114,35 +116,6 @@ class TestTopKStable:
                 prev = cur
 
 
-class TestSoftmaxRow:
-    def test_symmetry(self):
-        assert np.array_equal(softmax_row(np.array([0.0, 0.0])), [0.5, 0.5])
-
-    def test_hand_value(self):
-        out = softmax_row(np.array([math.log(2.0), 0.0]))
-        assert out == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
-
-    def test_full_mask_on_one_entry(self):
-        out = softmax_row(np.array([5.0, -np.inf]))
-        assert out[0] == 1.0
-        assert out[1] == 0.0
-
-    def test_all_masked_raises(self):
-        with pytest.raises(ValueError):
-            softmax_row(np.array([-np.inf, -np.inf]))
-
-    def test_sums_to_one(self):
-        rng = Rng64(5)
-        for _ in range(100):
-            n = 1 + (rng.next_raw() % 16)
-            x = rng.next_unit_array(n) * 40
-            if n > 1 and rng.next_raw() % 2:
-                x[rng.next_raw() % n] = -np.inf
-            out = softmax_row(x)
-            assert np.all(out >= 0)
-            assert abs(float(np.sum(out)) - 1.0) <= 1e-12
-
-
 class TestRng64:
     def test_reference_stream_seed_zero(self):
         r = Rng64(0)
@@ -161,14 +134,14 @@ class TestRng64:
     def test_unit_range(self):
         r = Rng64(9)
         for _ in range(1000):
-            v = r.next_unit()
+            v = next_unit(r)
             assert -1.0 <= v < 1.0
 
     def test_vectorized_matches_scalar(self):
         a = Rng64(123)
         b = Rng64(123)
         block = a.next_unit_array(257)
-        singles = np.array([b.next_unit() for _ in range(257)])
+        singles = np.array([next_unit(b) for _ in range(257)])
         assert np.array_equal(block, singles)
         assert a.state == b.state
         # streams continue identically after the block

@@ -5,11 +5,12 @@ from metok.data_io import RunConfig
 from metok.kernels import Rng64, ceil_scaled
 from metok.schedule import (
     PruneSchedule,
-    kv_keep_mask,
+    kv_drop_layer,
     retention_ratio,
     select_at_boundary,
     token_importance,
 )
+from metok.toy_llm import KvCache, apply_kv_policy
 
 
 def reference_schedule(n_key=0, n_nonkey=0):
@@ -154,22 +155,37 @@ class TestSelectAtBoundary:
             assert ceil_scaled(r * r, n) <= ceil_scaled(r, n)
 
 
+def hand_cache(n_vis, n_text, layers, d=4):
+    """Prefill-shaped cache: every layer holds all n_vis visual then n_text text ids."""
+    n = n_vis + n_text
+    cache = KvCache(prompt_len=n, text_len=n_text, mask_from=layers)
+    for _ in range(layers):
+        cache.k.append(np.zeros((n, d)))
+        cache.v.append(np.zeros((n, d)))
+        cache.position_ids.append(np.arange(n))
+    return cache
+
+
+def kept_counts(cfg, n_vis, n_text):
+    return apply_kv_policy(hand_cache(n_vis, n_text, cfg.layers), kv_drop_layer(cfg)).entry_counts()
+
+
 class TestKvKeepMask:
     def test_counts_hand_case(self):
-        s = PruneSchedule(l1=2, l2=3, l3=4, r=0.5, alpha=0.5, total_layers=4)
-        positions, masks = kv_keep_mask(s, 4, np.arange(100, 110), np.arange(100))
-        assert positions.size == 110
-        assert [int(m.sum()) for m in masks] == [110, 110, 10, 10]
+        cfg = RunConfig(layers=4, layer_boundaries=(2, 3, 4))
+        assert kept_counts(cfg, 100, 10) == [110, 110, 10, 10]
+        # the decode drop starts at l1 whatever the prefill toggle
+        no_prefill = RunConfig(layers=4, layer_boundaries=(2, 3, 4), disable_stages=("prefill",))
+        assert kv_drop_layer(no_prefill) == 2
+        assert kept_counts(no_prefill, 100, 10) == [110, 110, 10, 10]
 
     def test_policy_disabled(self):
-        s = PruneSchedule(l1=4, l2=5, l3=6, r=0.5, alpha=0.5, total_layers=4)
-        _, masks = kv_keep_mask(s, 4, np.arange(10, 13), np.arange(10))
-        assert all(int(m.sum()) == 13 for m in masks)
+        for cfg in (RunConfig(layers=4, layer_boundaries=(4, 5, 6)),
+                    RunConfig(layers=4, layer_boundaries=(1, 2, 3), disable_stages=("decode",))):
+            assert kept_counts(cfg, 10, 3) == [13] * 4
 
     def test_l1_zero_drops_everywhere(self):
-        s = PruneSchedule(l1=0, l2=1, l3=2, r=0.5, alpha=0.5, total_layers=3)
-        _, masks = kv_keep_mask(s, 3, np.arange(10, 13), np.arange(10))
-        assert all(int(m.sum()) == 3 for m in masks)
+        assert kept_counts(RunConfig(layers=3, layer_boundaries=(0, 1, 2)), 10, 3) == [3] * 3
 
     def test_text_never_removed(self):
         rng = Rng64(8)
@@ -178,11 +194,9 @@ class TestKvKeepMask:
             l1 = rng.next_raw() % (layers + 1)
             n_vis = rng.next_raw() % 30
             n_text = 1 + rng.next_raw() % 10
-            s = PruneSchedule(
-                l1=l1, l2=l1 + 1, l3=l1 + 2, r=0.5, alpha=0.5, total_layers=max(1, layers)
-            )
+            cfg = RunConfig(layers=layers, layer_boundaries=(l1, l1 + 1, l1 + 2))
+            cache = apply_kv_policy(hand_cache(n_vis, n_text, layers), kv_drop_layer(cfg))
             text = np.arange(n_vis, n_vis + n_text)
-            positions, masks = kv_keep_mask(s, layers, text, np.arange(n_vis))
-            text_idx = np.isin(positions, text)
-            for m in masks:
-                assert m[text_idx].all()
+            for layer, ids in enumerate(cache.position_ids):
+                assert np.isin(text, ids).all()
+                assert np.array_equal(cache.text_mask(layer), np.isin(ids, text))

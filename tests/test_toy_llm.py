@@ -40,11 +40,7 @@ def make_stream(n_key, n_nonkey, dim, seed=0):
     n = n_key + n_nonkey
     return TokenStream(
         tokens=rng.next_unit_array(n * dim).reshape(n, dim),
-        event_id=np.repeat([0, 1], [n_key, n_nonkey]),
-        frame_id=np.arange(n),
         key_event=np.repeat([True, False], [n_key, n_nonkey]),
-        key_frame=np.ones(n, dtype=bool),
-        grid_pos=np.zeros((n, 2), dtype=np.int64),
         frame_strides=np.ones(n, dtype=np.int64),
     )
 
@@ -72,7 +68,7 @@ def dense_prefill(model, inp, sched):
     the full (heads, n, n) probabilities, then projects its survivors again."""
     x, ids, is_text, is_key = inp.x, inp.position_ids, inp.is_text, inp.is_key
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0])
+    cache = KvCache(prompt_len=x.shape[0], text_len=int(is_text.sum()), mask_from=model.layers)
     lengths = []
     for layer in range(model.layers):
         if layer in boundaries:
@@ -102,18 +98,15 @@ def dense_prefill(model, inp, sched):
         cache.k.append(k_flat)
         cache.v.append(v_flat)
         cache.position_ids.append(ids.copy())
-        cache.is_text.append(is_text.copy())
-        cache.masked.append(np.zeros(n, dtype=bool))
     return cache, lengths, _rms_norm(x)[-1] @ model.unembed
 
 
 def assert_same_cache(a, b, kv_tol=0.0):
     """Equal metadata in every layer; keys/values equal, or within kv_tol."""
-    assert a.prompt_len == b.prompt_len
+    assert (a.prompt_len, a.text_len, a.mask_from) == (b.prompt_len, b.text_len, b.mask_from)
     assert a.num_layers == b.num_layers
     for layer in range(a.num_layers):
-        for name in ("position_ids", "is_text", "masked"):
-            assert np.array_equal(getattr(a, name)[layer], getattr(b, name)[layer])
+        assert np.array_equal(a.position_ids[layer], b.position_ids[layer])
         for name in ("k", "v"):
             got, want = getattr(a, name)[layer], getattr(b, name)[layer]
             assert got.shape == want.shape
@@ -216,7 +209,7 @@ class TestPrefill:
         )
         res = prefill(model, inp, sched)
         for layer in range(8):
-            assert int(res.cache.is_text[layer].sum()) == 5
+            assert int(res.cache.text_mask(layer).sum()) == 5
 
 
 def random_qkv(heads, n, head_dim, seed):
@@ -233,7 +226,7 @@ def assert_matches_dense_prefill(model, inp, sched):
     for got, want in zip(res.cache.position_ids, cache.position_ids):
         assert np.array_equal(got, want)
     assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-9
-    drop = sched.kv_drop_layer()
+    drop = sched.l1
     out = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
     want = decode(model, apply_kv_policy(cache, drop), 4, final_logits)
     assert np.array_equal(out.tokens, want.tokens)
@@ -356,7 +349,7 @@ class TestBlockedAttention:
         for got, want in zip(res.cache.position_ids, ref.cache.position_ids):
             assert np.array_equal(got, want)
         assert float(np.max(np.abs(res.final_logits - ref.final_logits))) <= 1e-12
-        drop = sched.kv_drop_layer()
+        drop = sched.l1
         out = decode(model, apply_kv_policy(res.cache, drop), 6, res.final_logits)
         want = decode(model, apply_kv_policy(ref.cache, drop), 6, ref.final_logits)
         assert np.array_equal(out.tokens, want.tokens)
@@ -391,8 +384,8 @@ class TestKvPolicyAndDecode:
 
     def test_drop_matches_neg_inf_masking(self):
         model, res, sched = self._prefilled()
-        dropped = apply_kv_policy(res.cache, sched.kv_drop_layer(), "drop")
-        flagged = apply_kv_policy(res.cache, sched.kv_drop_layer(), "neg_inf")
+        dropped = apply_kv_policy(res.cache, sched.l1, "drop")
+        flagged = apply_kv_policy(res.cache, sched.l1, "neg_inf")
         out_a = decode(model, dropped, 6, res.final_logits)
         out_b = decode(model, flagged, 6, res.final_logits)
         assert np.array_equal(out_a.tokens, out_b.tokens)
@@ -400,7 +393,7 @@ class TestKvPolicyAndDecode:
 
     def test_decode_leaves_cache_unchanged(self):
         model, res, sched = self._prefilled()
-        cache = apply_kv_policy(res.cache, sched.kv_drop_layer())
+        cache = apply_kv_policy(res.cache, sched.l1)
         counts = cache.entry_counts()
         first = decode(model, cache, 6, res.final_logits)
         assert cache.entry_counts() == counts
@@ -411,11 +404,11 @@ class TestKvPolicyAndDecode:
 
     def test_kept_layers_are_shared_not_copied(self):
         model, res, sched = self._prefilled()
-        drop = sched.kv_drop_layer()
+        drop = sched.l1
         assert 0 < drop < model.layers
         cache = apply_kv_policy(res.cache, drop)
         for layer in range(model.layers):
-            for name in ("k", "v", "position_ids", "is_text", "masked"):
+            for name in ("k", "v", "position_ids"):
                 shared = np.shares_memory(getattr(cache, name)[layer],
                                           getattr(res.cache, name)[layer])
                 assert shared == (layer < drop)

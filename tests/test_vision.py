@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metok.data_io import FrameEmbeddings, RunConfig, TextEmbedding, gen_synthetic
-from metok.kernels import Rng64, ceil_scaled
+from metok.kernels import Rng64, avg_pool_2d, ceil_scaled
 from metok.vision import (
     EventPartition,
     adaptive_pool,
@@ -219,9 +219,12 @@ class TestAdaptivePool:
             tokens=rng.next_unit_array(8 * 16 * 4).reshape(8, 16, 4), grid_h=4, grid_w=4
         )
         stream = adaptive_pool(v, hand_partition_two_events(), s1=2, s2=4, alpha=0.5)
-        # frame ids are non-decreasing; each frame's block is one contiguous run
-        assert np.all(np.diff(stream.frame_id) >= 0)
-        assert np.array_equal(np.unique(stream.frame_id), np.arange(8))
+        # each frame's pooled block is one contiguous run, frames in temporal order
+        blocks = [avg_pool_2d(v.frame_grid(i), s).reshape(-1, 4)
+                  for i, s in enumerate(stream.frame_strides)]
+        assert np.array_equal(stream.tokens, np.concatenate(blocks))
+        # key-event frames 0-3 pool to 4+4+1+1 tokens, non-key frames 4-7 to 1 each
+        assert stream.key_event.tolist() == [True] * 10 + [False] * 4
 
     def test_closed_form_count(self):
         rng = Rng64(77)
