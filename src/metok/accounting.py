@@ -13,7 +13,8 @@ token the same projection cost plus attention against the cached context:
 where c counts that layer's cached prompt survivors, previously generated
 tokens, and the token itself. KV memory is 2 (K and V) * positions * d_model *
 BYTES_PER_ELEMENT, summed over layers, counting the per-layer prompt cache
-left after the decode-stage drop.
+left after the decode-stage drop. A reduction report holds these two metrics
+only, so it is byte-reproducible; wall-clock stays out of it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class InferenceTrace:
     decode_steps: int              # decode forward passes (appended tokens)
     d_model: int
     mlp_ratio: float
-    prefill_ms: float = 0.0
+    prefill_ms: float = 0.0        # toy prefill wall-clock: printed, never in a report
 
     def __post_init__(self):
         if len(self.layer_lengths) != len(self.cached_positions):
@@ -89,8 +90,6 @@ class ReductionReport:
     flops_compressed: float
     kv_baseline: int
     kv_compressed: int
-    prefill_ms_baseline: float
-    prefill_ms_compressed: float
     config: dict
 
     @staticmethod
@@ -107,10 +106,6 @@ class ReductionReport:
     def kv_reduction_pct(self) -> float:
         return self._pct(self.kv_baseline, self.kv_compressed)
 
-    @property
-    def prefill_reduction_pct(self) -> float:
-        return self._pct(self.prefill_ms_baseline, self.prefill_ms_compressed)
-
     def to_dict(self) -> dict:
         return {
             "flops": {
@@ -123,11 +118,6 @@ class ReductionReport:
                 "compressed": self.kv_compressed,
                 "reduction_pct": self.kv_reduction_pct,
             },
-            "prefill_ms": {
-                "baseline": self.prefill_ms_baseline,
-                "compressed": self.prefill_ms_compressed,
-                "reduction_pct": self.prefill_reduction_pct,
-            },
             "config": self.config,
         }
 
@@ -136,28 +126,18 @@ def reduction_report(
     baseline: InferenceTrace,
     compressed: InferenceTrace,
     config: dict | None = None,
-    deterministic_timing: bool = True,
 ) -> ReductionReport:
-    """Compare two traces metric by metric.
-
-    Wall-clock prefill times are hardware noise, so by default they are zeroed
-    in the report to keep emitted artifacts byte-reproducible; pass
-    deterministic_timing=False to carry the measured values through.
-    """
+    """Compare two traces metric by metric: FLOPs and KV bytes, both deterministic."""
     if (baseline.d_model, baseline.mlp_ratio) != (compressed.d_model, compressed.mlp_ratio):
         raise ValueError("traces come from different model dims")
     flops_b = pipeline_flops(baseline)
     if flops_b == 0:
         raise ValueError("baseline trace has zero FLOPs")
-    ms_b = 0.0 if deterministic_timing else baseline.prefill_ms
-    ms_c = 0.0 if deterministic_timing else compressed.prefill_ms
     return ReductionReport(
         flops_baseline=flops_b,
         flops_compressed=pipeline_flops(compressed),
         kv_baseline=kv_bytes(baseline),
         kv_compressed=kv_bytes(compressed),
-        prefill_ms_baseline=ms_b,
-        prefill_ms_compressed=ms_c,
         config=config or {},
     )
 

@@ -24,6 +24,7 @@ from .data_io import (
     MebfError,
     RunConfig,
     TextEmbedding,
+    atomic_write,
     config_with,
     gen_synthetic,
     load_config,
@@ -51,15 +52,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write via a same-directory temp file and a rename: a failed write keeps the old file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(text.encode())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(text.encode())
 
 
 def _write_json(path: Path, obj) -> None:
@@ -166,10 +160,7 @@ def _cmd_simulate(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = _load_run_config(args)
     frames, text = _load_inputs(args)
-    result = run_simulation(
-        frames, text, cfg,
-        steps=args.steps, analytic=args.analytic, record_timing=args.record_timing,
-    )
+    result = run_simulation(frames, text, cfg, steps=args.steps, analytic=args.analytic)
     report_path, trace_path = out / "report.json", out / "trace.json"
     _write_json(report_path, result.report.to_dict())
     _write_json(trace_path, result.trace_dict())
@@ -314,9 +305,6 @@ def build_parser() -> _Parser:
     _add_io_args(simulate)
     simulate.add_argument("--analytic", action="store_true",
                           help="price runs from the schedule; skip the toy forward pass")
-    simulate.add_argument("--record-timing", dest="record_timing", action="store_true",
-                          help="put measured wall-clock into the report "
-                               "(breaks byte-reproducibility)")
 
     diag = sub.add_parser("diag", help="diagnostics")
     diag_sub = diag.add_subparsers(dest="diag_command", required=True)

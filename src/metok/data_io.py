@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "RunConfig",
     "TextEmbedding",
     "TruncatedPayloadError",
+    "atomic_write",
     "gen_synthetic",
     "load_config",
     "read_embeddings",
@@ -48,6 +52,8 @@ REC_TEXT = 2
 
 # refuse headers whose element count could not be a real desk-scale tensor
 MAX_ELEMENTS = 1 << 31
+# float32 elements per frame-payload read: the float64 result plus one chunk is the peak
+_READ_CHUNK = 1 << 20
 
 STAGES = ("vision", "prefill", "decode")
 
@@ -142,20 +148,37 @@ class TextEmbedding:
         return self.token_ids.shape[0]
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Write via a same-directory temp file and a rename: a failed write keeps the old file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> None:
-    """Serialize a frame tensor or text embedding to MEBF (float64 quantized to float32)."""
+    """Atomically write a frame tensor or text embedding as MEBF (float64 stored as float32)."""
     if isinstance(obj, FrameEmbeddings):
         header = struct.pack(
             "<4sBB4I", MAGIC, VERSION, REC_FRAMES,
             obj.num_frames, obj.grid_h, obj.grid_w, obj.dim,
         )
-        payload = obj.tokens.astype("<f4").tobytes()
+        payload = (obj.tokens.astype("<f4"),)
     elif isinstance(obj, TextEmbedding):
         header = struct.pack("<4sBB2I", MAGIC, VERSION, REC_TEXT, obj.dim, obj.num_tokens)
-        payload = obj.vector.astype("<f4").tobytes() + obj.token_ids.astype("<u4").tobytes()
+        payload = (obj.vector.astype("<f4"), obj.token_ids.astype("<u4"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    Path(path).write_bytes(header + payload)
+    with atomic_write(path) as fh:
+        fh.write(header)
+        for array in payload:
+            fh.write(array)
 
 
 def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
@@ -196,7 +219,10 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         try:  # values the header cannot vouch for, such as non-finite or zero-norm ones
             if rec_type == REC_FRAMES:
                 t, h, w, d = dims
-                tokens = np.fromfile(fh, "<f4", count).astype(np.float64)
+                tokens = np.empty(count)  # filled chunk by chunk; float32 -> float64 is exact
+                for start in range(0, count, _READ_CHUNK):
+                    stop = min(start + _READ_CHUNK, count)
+                    tokens[start:stop] = np.fromfile(fh, "<f4", stop - start)
                 return FrameEmbeddings(tokens=tokens.reshape(t, h * w, d), grid_h=h, grid_w=w)
             vector = np.fromfile(fh, "<f4", dims[0]).astype(np.float64)
             ids = np.fromfile(fh, "<u4", dims[1]).astype(np.int64)

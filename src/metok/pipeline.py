@@ -4,7 +4,8 @@ Every simulation compares against an automatic no-compression baseline (all
 stages disabled, uniform pooling at the configured baseline stride) so each
 report is self-contained. The analytic path prices both runs straight from the
 schedule without touching the toy model, which is what makes large desk
-replicas cheap.
+replicas cheap. The toy path also measures each prefill's wall-clock on its
+trace; the report leaves it out.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ _BASELINE_STAGES = ("vision", "prefill", "decode")
 @dataclass
 class SimulationResult:
     stream: TokenStream
-    partition: EventPartition
     compressed: InferenceTrace
     baseline: InferenceTrace
     report: ReductionReport
@@ -128,7 +128,6 @@ def run_simulation(
     cfg: RunConfig,
     steps: int = 8,
     analytic: bool = False,
-    record_timing: bool = False,
 ) -> SimulationResult:
     """Run the compressed pipeline and its no-compression baseline, then compare.
 
@@ -138,7 +137,7 @@ def run_simulation(
     where the first token comes straight from prefill.
     """
     base_cfg = config_with(cfg, disable_stages=_BASELINE_STAGES)
-    stream, partition = run_vision_stage(frames, text, cfg)
+    stream, _ = run_vision_stage(frames, text, cfg)
     base_stream, _ = run_vision_stage(frames, text, base_cfg)
     n_key, n_nonkey = stream.group_counts()
     m = text.num_tokens
@@ -153,12 +152,9 @@ def run_simulation(
         compressed, out = _toy_trace(cfg, model, stream, text, steps)
         base, base_out = _toy_trace(base_cfg, model, base_stream, text, steps)
 
-    report = reduction_report(
-        base, compressed, config=cfg.to_dict(), deterministic_timing=not record_timing
-    )
+    report = reduction_report(base, compressed, config=cfg.to_dict())
     return SimulationResult(
         stream=stream,
-        partition=partition,
         compressed=compressed,
         baseline=base,
         report=report,

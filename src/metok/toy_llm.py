@@ -9,18 +9,19 @@ decodes regardless of thread count.
 Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
-sequence. Text positions are never pruned. Causal attention runs over blocks
-of query rows with q pre-scaled by 1/sqrt(head_dim), so no (heads, n, n)
-score tensor is ever built, and softmax is normalised after P·V. Heads run in
-chunks, at most one per CPU the process may use, on one reused score
-workspace; the result is bit-identical to one thread's. The final layer runs
-only the last prompt row, the one final_logits reads, so the executed work is
-below the counted 4*n^2*d attention and MLP terms. The decode-stage policy
-drops cached visual entries from a given layer upward (the pipeline passes
+sequence. The text prompt is the last text_len rows at every layer and is
+never pruned. Causal attention runs over blocks of query rows with q
+pre-scaled by 1/sqrt(head_dim), so no (heads, n, n) score tensor is ever
+built, and softmax is normalised after P·V. Heads run in chunks, at most one
+per CPU the process may use, on one reused score workspace; the result is
+bit-identical to one thread's. The final layer runs only the last prompt row,
+the one final_logits reads, so the executed work is below the counted
+4*n^2*d attention and MLP terms. The decode-stage policy drops cached visual
+entries from a given layer upward (the pipeline passes
 schedule.kv_drop_layer), either physically or by -inf masking from that
 layer; the two paths agree up to float summation order. The cache stores no
-per-entry flags: text is the last M original position ids. Layers the policy
-keeps whole are shared with its input, not copied.
+per-entry flags: text is the last text_len entries of every layer. Layers the
+policy keeps whole are shared with its input, not copied.
 """
 
 from __future__ import annotations
@@ -143,20 +144,18 @@ def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PrefillInput:
-    """Concatenated model input: visual block first, then the text block."""
+    """Concatenated model input: visual block first, then the last text_len rows are text."""
 
-    x: np.ndarray                # (n, d_model), positions already added
-    is_text: np.ndarray          # (n,) bool
-    is_key: np.ndarray           # (n,) bool; visual group tag (True on text rows)
-    position_ids: np.ndarray     # (n,) original ids 0..n-1
+    x: np.ndarray                # (n, d_model); row i carries position i's encoding
+    is_key: np.ndarray           # (n - text_len,) bool; group tag of each visual row
+    text_len: int
 
     def __post_init__(self):
         n = self.x.shape[0]
-        if not (self.is_text.shape == self.is_key.shape == self.position_ids.shape == (n,)):
-            raise ValueError("per-position tags must align with the input rows")
-        n_text = int(np.count_nonzero(self.is_text))
-        if not np.array_equal(self.is_text, np.arange(n) >= n - n_text):
-            raise ValueError("text block must follow the visual block")
+        if not 1 <= self.text_len <= n:
+            raise ValueError(f"text_len must be in [1, {n}], got {self.text_len}")
+        if self.is_key.shape != (n - self.text_len,):
+            raise ValueError("need one group tag per visual row")
 
 
 def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbedding) -> PrefillInput:
@@ -165,22 +164,15 @@ def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbeddin
     x_vis = stream.tokens @ proj
     x_text = model.embed[text.token_ids % model.vocab]
     x = np.concatenate([x_vis, x_text], axis=0)
-    n = x.shape[0]
-    ids = np.arange(n, dtype=np.int64)
-    x = x + sinusoidal_positions(ids, model.d_model)
-    n_vis = x_vis.shape[0]
-    is_text = np.zeros(n, dtype=bool)
-    is_text[n_vis:] = True
-    is_key = np.ones(n, dtype=bool)
-    is_key[:n_vis] = stream.key_event
-    return PrefillInput(x=x, is_text=is_text, is_key=is_key, position_ids=ids)
+    x = x + sinusoidal_positions(np.arange(x.shape[0]), model.d_model)
+    return PrefillInput(x=x, is_key=stream.key_event, text_len=text.num_tokens)
 
 
 @dataclass
 class KvCache:
     """Per-layer cached keys/values of the surviving prompt positions.
 
-    Text is the last text_len original ids of the prompt_len. Visual entries of
+    Text is the last text_len entries of every layer. Visual entries of
     layers from mask_from upward stay in place but attract -inf attention
     scores; mask_from is the layer count when nothing is masked. decode() reads
     the cache and never writes it.
@@ -196,10 +188,6 @@ class KvCache:
     @property
     def num_layers(self) -> int:
         return len(self.k)
-
-    def text_mask(self, layer: int) -> np.ndarray:
-        """Which of the layer's cached entries are text positions."""
-        return self.position_ids[layer] >= self.prompt_len - self.text_len
 
     def entry_counts(self) -> list[int]:
         """Physically stored entries per layer (masked entries included)."""
@@ -300,23 +288,21 @@ def _prune_boundary(
     q: np.ndarray,
     k: np.ndarray,
     ids: np.ndarray,
-    is_text: np.ndarray,
     is_key: np.ndarray,
+    text_len: int,
 ) -> np.ndarray:
     """Keep mask over the incoming rows of a boundary layer, from its text rows' attention.
 
     q (pre-scaled) and k are the layer's split-head projections of the
-    incoming rows. The text rows are the last M rows, so their (heads, M, n)
-    attention block is all that the importance rule reads.
+    incoming rows. The last text_len rows are text and always kept; their
+    (heads, text_len, n) attention block is all that the importance rule reads.
     """
-    n = is_text.shape[0]
-    m = int(np.count_nonzero(is_text))
-    attn = _causal_probs(q, k, n - m, n, _upper_tile(m))
-    text_rows = np.arange(m)
-    rows = np.arange(n)
-    keep = is_text.copy()
+    n = ids.shape[0]
+    attn = _causal_probs(q, k, n - text_len, n, _upper_tile(text_len))
+    text_rows = np.arange(text_len)
+    keep = np.ones(n, dtype=bool)
     for group, flag in (("key", True), ("non_key", False)):
-        grp_rows = rows[~is_text & (is_key == flag)]
+        grp_rows = np.flatnonzero(is_key == flag)
         if grp_rows.size == 0 and sched.origin(group) == 0:
             continue
         ratio = retention_ratio(layer, group, sched)
@@ -337,12 +323,10 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     if sched.total_layers != model.layers:
         raise ValueError("schedule and model disagree on layer count")
     t0 = time.perf_counter()
-    x = inp.x
-    ids = inp.position_ids
-    is_text, is_key = inp.is_text, inp.is_key
+    x, is_key = inp.x, inp.is_key
+    ids = np.arange(x.shape[0])
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=inp.x.shape[0], text_len=int(np.count_nonzero(is_text)),
-                    mask_from=model.layers)
+    cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len, mask_from=model.layers)
     lengths = []
     q_scale = 1.0 / math.sqrt(model.head_dim)
     for layer in range(model.layers):
@@ -355,10 +339,9 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         if layer in boundaries:
             keep = _prune_boundary(
                 sched, layer, _split_heads(q_flat, model.heads),
-                _split_heads(k_flat, model.heads), ids, is_text, is_key,
+                _split_heads(k_flat, model.heads), ids, is_key, inp.text_len,
             )
-            x, ids = x[keep], ids[keep]
-            is_text, is_key = is_text[keep], is_key[keep]
+            x, ids, is_key = x[keep], ids[keep], is_key[keep[: len(is_key)]]
             q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
         n = x.shape[0]
         lengths.append(n)
@@ -386,10 +369,10 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
 def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCache:
     """Remove cached visual entries from drop_layer upward; text always stays.
 
-    mode "drop" deletes the entries; mode "neg_inf" keeps them and masks them
-    from drop_layer upward, which must match the drop path up to float
-    rounding. Every array the policy does not filter is the input cache's own,
-    shared rather than copied: both caches are read-only.
+    mode "drop" keeps a copy of only the text tail of those layers; mode
+    "neg_inf" keeps them whole and masks their visual entries, which must match
+    the drop path up to float rounding. Every array the policy does not filter
+    is the input cache's own, shared rather than copied: both caches are read-only.
     """
     if mode not in ("drop", "neg_inf"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -398,8 +381,7 @@ def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCa
     for layer in range(cache.num_layers):
         arrays = (cache.k[layer], cache.v[layer], cache.position_ids[layer])
         if mode == "drop" and layer >= drop_layer:
-            text = cache.text_mask(layer)
-            arrays = tuple(a[text] for a in arrays)
+            arrays = tuple(a[len(a) - cache.text_len :].copy() for a in arrays)
         for dest, a in zip((out.k, out.v, out.position_ids), arrays):
             dest.append(a)
     return out
@@ -434,7 +416,6 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     attn_split = np.zeros((steps - 1, model.layers, 2))
     gen_k = np.empty((model.layers, steps - 1, model.d_model))
     gen_v = np.empty((model.layers, steps - 1, model.d_model))
-    text = [cache.text_mask(layer) for layer in range(model.layers)]
     scale = math.sqrt(model.head_dim)
     for s in range(steps - 1):
         pos = cache.prompt_len + s
@@ -447,19 +428,20 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             gen_k[layer, s] = (h @ model.wk[layer])[0]
             gen_v[layer, s] = (h @ model.wv[layer])[0]
             c = cache.k[layer].shape[0]
+            n_vis = c - cache.text_len  # cached entries [:n_vis] are visual, the rest text
             k_c = _split_heads(cache.k[layer], model.heads)
             k_g = _split_heads(gen_k[layer, : s + 1], model.heads)
             scores = np.concatenate(
                 [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
             )[:, 0, :] / scale
             if layer >= cache.mask_from:
-                scores[:, :c][:, ~text[layer]] = -np.inf
+                scores[:, :n_vis] = -np.inf
             scores -= scores.max(axis=-1, keepdims=True)
             p = np.exp(scores)
             p /= p.sum(axis=-1, keepdims=True)
             head_mean = p[:, :c].mean(axis=0)
-            attn_split[s, layer, 0] = head_mean[~text[layer]].sum()
-            attn_split[s, layer, 1] = head_mean[text[layer]].sum()
+            attn_split[s, layer, 0] = head_mean[:n_vis].sum()
+            attn_split[s, layer, 1] = head_mean[n_vis:].sum()
             out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
             out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
             x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]

@@ -87,13 +87,12 @@ class TestReductionReport:
         d = rep.to_dict()
         assert d["flops"]["reduction_pct"] == 0.0
         assert d["kv_bytes"]["reduction_pct"] == 0.0
-        assert d["prefill_ms"]["reduction_pct"] == 0.0
 
     def test_schema_keys(self):
         rep = reduction_report(trace([5]), trace([3]), config={"seed": 0})
         d = rep.to_dict()
-        assert sorted(d) == ["config", "flops", "kv_bytes", "prefill_ms"]
-        for metric in ("flops", "kv_bytes", "prefill_ms"):
+        assert sorted(d) == ["config", "flops", "kv_bytes"]
+        for metric in ("flops", "kv_bytes"):
             assert sorted(d[metric]) == ["baseline", "compressed", "reduction_pct"]
 
     def test_zero_flops_baseline_rejected(self):

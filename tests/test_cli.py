@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from metok import cli
+from metok import data_io
 from metok.cli import main
 
 
@@ -114,11 +114,17 @@ class TestSimulate:
             assert got == digest
 
 
-    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    @pytest.mark.parametrize("fail_at", ["write", "rename", "gen"])
     def test_failed_write_keeps_previous_artifact(self, data_dir, config_path, tmp_path,
                                                   monkeypatch, fail_at):
-        out = tmp_path / "sim"
-        assert run_sim(data_dir, config_path, out) == 0
+        if fail_at == "gen":  # a gen of other data whose video.mebf write fails half-way
+            out, target = data_dir, "video.mebf"
+            run = lambda: main(["gen", "--seed", "8", "--frames", "12", "--grid", "4x4",
+                                "--dim", "16", "--out", str(data_dir)])
+        else:
+            out, target = tmp_path / "sim", "trace.json"
+            run = lambda: run_sim(data_dir, config_path, out)
+            assert run() == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         real_open, real_replace = open, os.replace
 
@@ -136,20 +142,20 @@ class TestSimulate:
                 self.fh.write(data[: len(data) // 2])
                 raise OSError("no space left on device")
 
-        def failing_open(path, mode):  # only trace.json's temp file fails
-            opener = HalfWriter if Path(path).name.startswith(".trace.json.") else real_open
+        def failing_open(path, mode):  # only the target's temp file fails
+            opener = HalfWriter if Path(path).name.startswith(f".{target}.") else real_open
             return opener(path, mode)
 
         def failing_replace(src, dst):
-            if Path(dst).name == "trace.json":
+            if Path(dst).name == target:
                 raise OSError("rename failed")
             real_replace(src, dst)
 
-        if fail_at == "write":
-            monkeypatch.setattr(cli, "open", failing_open, raising=False)
-        else:
+        if fail_at == "rename":
             monkeypatch.setattr(os, "replace", failing_replace)
-        assert run_sim(data_dir, config_path, out) == 2
+        else:
+            monkeypatch.setattr(data_io, "open", failing_open, raising=False)
+        assert run() == 2
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 

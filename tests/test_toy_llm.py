@@ -17,6 +17,7 @@ from metok.kernels import Rng64
 from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary, token_importance
 from metok.toy_llm import (
     KvCache,
+    PrefillInput,
     _causal_attention,
     _causal_exp,
     _causal_probs,
@@ -66,9 +67,11 @@ def dense_probs(q, k):
 def dense_prefill(model, inp, sched):
     """Oracle prefill: dense attention on every layer; each boundary scores from
     the full (heads, n, n) probabilities, then projects its survivors again."""
-    x, ids, is_text, is_key = inp.x, inp.position_ids, inp.is_text, inp.is_key
+    x, is_key, m = inp.x, inp.is_key, inp.text_len
+    ids = np.arange(x.shape[0])
+    is_text = ids >= x.shape[0] - m
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=int(is_text.sum()), mask_from=model.layers)
+    cache = KvCache(prompt_len=x.shape[0], text_len=m, mask_from=model.layers)
     lengths = []
     for layer in range(model.layers):
         if layer in boundaries:
@@ -78,14 +81,14 @@ def dense_prefill(model, inp, sched):
             rows = np.arange(x.shape[0])
             keep = is_text.copy()
             for group, flag in (("key", True), ("non_key", False)):
-                grp = rows[~is_text & (is_key == flag)]
+                grp = rows[~is_text][is_key == flag]
                 if grp.size == 0 and sched.origin(group) == 0:
                     continue
                 importance = token_importance(attn, rows[is_text], grp)
                 kept = select_at_boundary(importance, ids[grp], sched.origin(group),
                                           retention_ratio(layer, group, sched))
                 keep[grp] = np.isin(ids[grp], kept)
-            x, ids, is_text, is_key = x[keep], ids[keep], is_text[keep], is_key[keep]
+            x, ids, is_text, is_key = x[keep], ids[keep], is_text[keep], is_key[keep[~is_text]]
         n = x.shape[0]
         lengths.append(n)
         h = _rms_norm(x)
@@ -208,8 +211,15 @@ class TestPrefill:
             l1=1, l2=3, l3=5, r=0.4, alpha=0.5, total_layers=8, n_key=20, n_nonkey=10
         )
         res = prefill(model, inp, sched)
-        for layer in range(8):
-            assert int(res.cache.text_mask(layer).sum()) == 5
+        text = np.arange(inp.x.shape[0] - 5, inp.x.shape[0])
+        for ids in res.cache.position_ids:
+            assert np.array_equal(ids[-5:], text)
+
+    @pytest.mark.parametrize("text_len, n_tags", [(0, 6), (7, 0), (2, 6), (2, 3)])
+    def test_input_needs_a_text_tail_and_one_tag_per_visual_row(self, text_len, n_tags):
+        with pytest.raises(ValueError):
+            PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(n_tags, dtype=bool), text_len=text_len)
+        PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(4, dtype=bool), text_len=2)
 
 
 def random_qkv(heads, n, head_dim, seed):
