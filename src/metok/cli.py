@@ -2,8 +2,11 @@
 
 Every run writes a manifest.json capturing the tool version, seed, effective
 config, and sha256 digests of inputs and artifacts, so any artifact can be
-reproduced bit for bit from its manifest. Exit codes: 0 success, 1 usage
-error, 2 data error. METOK_THREADS caps how many sweep points run at once.
+reproduced bit for bit from its manifest. The config file sets every RunConfig
+field outside RUNTIME_FIELDS; flags set those. Exit codes: 0 success, 1 usage
+error, 2 data error (a malformed config or input file, or inputs that do not
+fit together); any other failure is a bug and surfaces as a traceback.
+METOK_THREADS caps how many sweep points run at once.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .data_io import (
+    EVENT_SCORES,
+    FRAME_REDUCES,
+    RUNTIME_FIELDS,
     ConfigError,
     FrameEmbeddings,
     MebfError,
@@ -31,6 +38,7 @@ from .data_io import (
     read_embeddings,
     write_embeddings,
 )
+from .kernels import ZeroNormError
 from .pipeline import compress_stats, run_simulation
 from .toy_llm import attention_ratio_trace
 from .vision import run_vision_stage
@@ -47,8 +55,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_HASH_CHUNK = 1 << 18  # bytes per read while hashing, so a large input is never held whole
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -100,27 +115,29 @@ def _load_inputs(args) -> tuple[FrameEmbeddings, TextEmbedding]:
         raise MebfError(f"{args.input}: expected a frame tensor record")
     if not isinstance(text, TextEmbedding):
         raise MebfError(f"{args.text}: expected a text embedding record")
+    if frames.dim != text.dim:
+        raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
     return frames, text
 
 
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(Path(args.config))
-    overrides = {}
-    for name in ("event_score", "baseline_stride", "frame_reduce"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
+                 if getattr(args, name) is not None}
     return config_with(cfg, **overrides) if overrides else cfg
 
 
 def _cmd_gen(args, argv) -> int:
+    h, w = _parse_grid(args.grid)
+    try:
+        frames, text = gen_synthetic(
+            args.frames, h, w, args.dim, args.seed,
+            num_segments=args.events, text_segment=args.text_event, text_len=args.text_len,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    h, w = _parse_grid(args.grid)
-    frames, text = gen_synthetic(
-        args.frames, h, w, args.dim, args.seed,
-        num_segments=args.events, text_segment=args.text_event, text_len=args.text_len,
-    )
     video_path, text_path = out / "video.mebf", out / "text.mebf"
     write_embeddings(frames, video_path)
     write_embeddings(text, text_path)
@@ -199,8 +216,7 @@ def _cmd_diag_attention_ratio(args, argv) -> int:
     return 0
 
 
-_SWEEPABLE_INT = ("k", "s1", "s2", "layers")
-_SWEEPABLE_FLOAT = ("alpha", "beta", "r")
+_SWEEPABLE = ("k", "alpha", "beta", "s1", "s2", "r", "layers")
 
 
 def _parse_sweep_params(params: list[str]) -> list[tuple[str, list]]:
@@ -209,13 +225,9 @@ def _parse_sweep_params(params: list[str]) -> list[tuple[str, list]]:
         if "=" not in param:
             raise UsageError(f"--param expects name=v1,v2,..., got {param!r}")
         name, _, values = param.partition("=")
-        if name in _SWEEPABLE_INT:
-            cast = int
-        elif name in _SWEEPABLE_FLOAT:
-            cast = float
-        else:
-            raise UsageError(f"cannot sweep {name!r}; choose from "
-                             f"{_SWEEPABLE_INT + _SWEEPABLE_FLOAT}")
+        if name not in _SWEEPABLE:
+            raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
+        cast = get_type_hints(RunConfig)[name]
         try:
             parsed = [cast(v) for v in values.split(",") if v != ""]
         except ValueError as e:
@@ -246,12 +258,8 @@ def _cmd_sweep(args, argv) -> int:
         _write_json(point_dir / "report.json", result.report.to_dict())
         return index, point, result.report
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, enumerate(zip(points, point_cfgs))))
-    else:
-        results = [run_point(ip) for ip in enumerate(zip(points, point_cfgs))]
-    results.sort(key=lambda row: row[0])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_point, enumerate(zip(points, point_cfgs))))
 
     lines = ["point," + ",".join(names) + ",flops_reduction_pct,kv_reduction_pct"]
     for index, point, rep in results:
@@ -273,9 +281,9 @@ def _add_io_args(p: _Parser, with_steps: bool = True) -> None:
     p.add_argument("--input", required=True, help="frame embeddings (MEBF)")
     p.add_argument("--text", required=True, help="text embedding (MEBF)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--event-score", dest="event_score", choices=["mean", "max"],
+    p.add_argument("--event-score", dest="event_score", choices=EVENT_SCORES,
                    default=None, help="event relevance aggregation override")
-    p.add_argument("--frame-reduce", dest="frame_reduce", choices=["mean", "flatten"],
+    p.add_argument("--frame-reduce", dest="frame_reduce", choices=FRAME_REDUCES,
                    default=None, help="adjacent-frame similarity reduction override")
     p.add_argument("--baseline-stride", dest="baseline_stride", type=int, default=None,
                    help="uniform pooling stride of the no-compression baseline")
@@ -338,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (MebfError, ConfigError, ValueError, OSError) as e:
+    except (MebfError, ConfigError, ZeroNormError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

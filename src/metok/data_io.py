@@ -21,9 +21,9 @@ import os
 import struct
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,6 +56,9 @@ MAX_ELEMENTS = 1 << 31
 _READ_CHUNK = 1 << 20
 
 STAGES = ("vision", "prefill", "decode")
+EVENT_SCORES = ("mean", "max")
+FRAME_REDUCES = ("mean", "flatten")
+RUNTIME_FIELDS = ("event_score", "frame_reduce", "baseline_stride")  # CLI flags, not the file
 
 
 class MebfError(ValueError):
@@ -296,8 +299,8 @@ def gen_synthetic(
 class RunConfig:
     """All knobs for one run; defaults follow the 7B reference regime.
 
-    The JSON file schema covers the first thirteen fields (names match keys).
-    The remaining fields are runtime knobs set through the CLI, not the file.
+    The fields declare every setting once. The JSON file schema is every field
+    outside RUNTIME_FIELDS (names match keys, types follow the annotations).
     """
 
     k: int = 5
@@ -314,7 +317,6 @@ class RunConfig:
     seed: int = 0
     disable_stages: tuple[str, ...] = ()
 
-    # runtime knobs outside the file schema
     event_score: str = "mean"       # event relevance aggregation: mean | max
     frame_reduce: str = "mean"      # adjacent-frame similarity on mean-pooled | flattened tokens
     baseline_stride: int = 1        # backbone-native uniform pooling used by the baseline/bypass path
@@ -344,15 +346,15 @@ class RunConfig:
             raise ConfigError("layers must be >= 1")
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        if self.mlp_ratio <= 0:
-            raise ConfigError("mlp_ratio must be positive")
+        if not 0 < self.mlp_ratio < math.inf:
+            raise ConfigError(f"mlp_ratio must be positive and finite, got {self.mlp_ratio}")
         for s in self.disable_stages:
             if s not in STAGES:
                 raise ConfigError(f"unknown stage {s!r}; expected one of {STAGES}")
-        if self.event_score not in ("mean", "max"):
-            raise ConfigError(f"event_score must be 'mean' or 'max', got {self.event_score!r}")
-        if self.frame_reduce not in ("mean", "flatten"):
-            raise ConfigError(f"frame_reduce must be 'mean' or 'flatten', got {self.frame_reduce!r}")
+        if self.event_score not in EVENT_SCORES:
+            raise ConfigError(f"event_score must be one of {EVENT_SCORES}, got {self.event_score!r}")
+        if self.frame_reduce not in FRAME_REDUCES:
+            raise ConfigError(f"frame_reduce must be one of {FRAME_REDUCES}, got {self.frame_reduce!r}")
         if self.baseline_stride < 1:
             raise ConfigError("baseline_stride must be >= 1")
 
@@ -360,70 +362,48 @@ class RunConfig:
         return stage not in self.disable_stages
 
     def to_dict(self) -> dict:
-        """Stable, JSON-ready echo of the effective configuration."""
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "s1": self.s1,
-            "s2": self.s2,
-            "r": self.r,
-            "layer_boundaries": list(self.layer_boundaries),
-            "layers": self.layers,
-            "heads": self.heads,
-            "d_model": self.d_model,
-            "mlp_ratio": self.mlp_ratio,
-            "seed": self.seed,
-            "disable_stages": list(self.disable_stages),
-            "event_score": self.event_score,
-            "frame_reduce": self.frame_reduce,
-            "baseline_stride": self.baseline_stride,
-        }
+        """Stable, JSON-ready echo of the effective configuration: every field, tuples as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
-_CONFIG_KEYS = (
-    "k", "alpha", "beta", "s1", "s2", "r", "layer_boundaries",
-    "layers", "heads", "d_model", "mlp_ratio", "seed", "disable_stages",
-)
-
-_INT_KEYS = ("k", "s1", "s2", "layers", "heads", "d_model", "seed")
-_FLOAT_KEYS = ("alpha", "beta", "r", "mlp_ratio")
+def _fits(hint, value) -> bool:
+    """Whether a JSON value fits a field annotation; a tuple field takes a JSON list."""
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if items[-1] is Ellipsis and isinstance(value, list):
+            items = items[:1] * len(value)
+        return isinstance(value, list) and len(value) == len(items) and all(map(_fits, items, value))
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load a JSON run config; missing keys take the reference-regime defaults.
 
-    Unknown keys warn and are ignored; out-of-range values and unordered layer
+    Each value is checked against its field's annotation. Unknown keys warn and
+    are ignored; wrong types, out-of-range values and unordered layer
     boundaries fail with ConfigError.
     """
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    hints = get_type_hints(RunConfig)
     kwargs = {}
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        if key not in hints or key in RUNTIME_FIELDS:
             warnings.warn(f"{path}: ignoring unknown config key {key!r}", stacklevel=2)
             continue
-        if key in _INT_KEYS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
-        elif key in _FLOAT_KEYS:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path}: {key} must be a number, got {value!r}")
-            value = float(value)
-        elif key == "layer_boundaries":
-            if not (isinstance(value, list) and len(value) == 3
-                    and all(isinstance(b, int) and not isinstance(b, bool) for b in value)):
-                raise ConfigError(f"{path}: layer_boundaries must be a list of three integers")
-            value = tuple(value)
-        elif key == "disable_stages":
-            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
-                raise ConfigError(f"{path}: disable_stages must be a list of stage names")
-            value = tuple(value)
-        kwargs[key] = value
+        hint = hints[key]
+        if not _fits(hint, value):
+            name = str(hint) if get_origin(hint) else hint.__name__
+            raise ConfigError(f"{path}: {key} must be {name}, got {value!r}")
+        kwargs[key] = float(value) if hint is float else value
     try:
         return RunConfig(**kwargs)
     except ConfigError as e:

@@ -22,7 +22,7 @@ from .accounting import (
     baseline_trace,
     reduction_report,
 )
-from .data_io import FrameEmbeddings, RunConfig, TextEmbedding, config_with
+from .data_io import STAGES, FrameEmbeddings, RunConfig, TextEmbedding, config_with
 from .schedule import PruneSchedule, kv_drop_layer
 from .toy_llm import (
     DecodeOutput,
@@ -35,8 +35,6 @@ from .toy_llm import (
 from .vision import EventPartition, TokenStream, run_vision_stage
 
 __all__ = ["SimulationResult", "compress_stats", "run_simulation"]
-
-_BASELINE_STAGES = ("vision", "prefill", "decode")
 
 
 @dataclass
@@ -136,7 +134,7 @@ def run_simulation(
     schedule; decode FLOPs count steps-1 forward passes, matching the toy path
     where the first token comes straight from prefill.
     """
-    base_cfg = config_with(cfg, disable_stages=_BASELINE_STAGES)
+    base_cfg = config_with(cfg, disable_stages=STAGES)
     stream, _ = run_vision_stage(frames, text, cfg)
     base_stream, _ = run_vision_stage(frames, text, base_cfg)
     n_key, n_nonkey = stream.group_counts()

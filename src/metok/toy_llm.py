@@ -88,8 +88,6 @@ class ToyModel:
 
 def init_model(cfg: RunConfig) -> ToyModel:
     """Build the model with all weights drawn from Rng64(cfg.seed) in a fixed order."""
-    if cfg.d_model % cfg.heads != 0:
-        raise ValueError(f"heads ({cfg.heads}) must divide d_model ({cfg.d_model})")
     d = cfg.d_model
     hidden = max(1, int(math.floor(cfg.mlp_ratio * d + 0.5)))
     rng = Rng64(cfg.seed)

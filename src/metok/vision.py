@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import FrameEmbeddings, RunConfig, TextEmbedding
+from .data_io import EVENT_SCORES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
 from .kernels import avg_pool_2d, ceil_scaled, cosine, top_k_stable
 
 __all__ = [
@@ -78,11 +78,12 @@ def _frame_vectors(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:
     """Split the video into k contiguous events at the k-1 lowest adjacent similarities.
 
-    Ties break toward the smaller (earlier) similarity index.
+    Ties break toward the smaller (earlier) similarity index. A k outside
+    [1, T] fails with ConfigError.
     """
     t = v.num_frames
     if not 1 <= k <= t:
-        raise ValueError(f"need 1 <= k <= {t}, got k={k}")
+        raise ConfigError(f"need 1 <= k <= {t}, got k={k}")
     if k == 1:
         return EventPartition(num_frames=t, boundaries=())
     vecs = _frame_vectors(v, frame_reduce)
@@ -102,7 +103,7 @@ def score_relevance(
     Frame score is the cosine of the mean-pooled frame tokens against the text
     embedding. Event score aggregates its frames' scores by mean (default) or max.
     """
-    if event_score not in ("mean", "max"):
+    if event_score not in EVENT_SCORES:
         raise ValueError(f"unknown event_score mode {event_score!r}")
     if v.dim != text.dim:
         raise ValueError(f"embedding dims differ: frames {v.dim}, text {text.dim}")

@@ -47,6 +47,11 @@ class TestGen:
                    "--dim", "8", "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_more_events_than_frames_is_usage_error(self, tmp_path):
+        rc = main(["gen", "--seed", "1", "--frames", "3", "--grid", "2x2", "--dim", "8",
+                   "--events", "5", "--out", str(tmp_path / "x")])
+        assert rc == 1
+
 
 class TestCompress:
     def test_stats_artifact(self, data_dir, config_path, tmp_path):
@@ -254,3 +259,53 @@ class TestExitCodes:
                    "--text", str(tmp_path / "nope.mebf"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_more_events_than_frames(self, data_dir, tmp_path):
+        cfg = tmp_path / "k.json"
+        cfg.write_text('{"k": 13}')  # the fixture video has 12 frames
+        assert run_sim(data_dir, cfg, tmp_path / "o") == 2
+
+    def test_embedding_dim_mismatch(self, data_dir, config_path, tmp_path):
+        other = tmp_path / "other"
+        assert main(["gen", "--seed", "7", "--frames", "12", "--grid", "4x4", "--dim", "8",
+                     "--out", str(other)]) == 0
+        rc = main(["compress", "--config", str(config_path),
+                   "--input", str(data_dir / "video.mebf"), "--text", str(other / "text.mebf"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_zero_norm_frame(self, data_dir, config_path, tmp_path):
+        video = data_io.read_embeddings(data_dir / "video.mebf")
+        video.tokens[5] = 0.0
+        data_io.write_embeddings(video, data_dir / "video.mebf")
+        assert run_sim(data_dir, config_path, tmp_path / "o") == 2
+
+    def test_internal_failure_is_not_a_data_error(self, data_dir, config_path, tmp_path,
+                                                  monkeypatch):
+        from metok import toy_llm
+
+        def broken(*args, **kwargs):
+            raise ValueError("schedule wants 9 tokens but only 4 survive")
+
+        monkeypatch.setattr(toy_llm, "select_at_boundary", broken)
+        with pytest.raises(ValueError, match="schedule wants"):
+            run_sim(data_dir, config_path, tmp_path / "o")
+
+
+def test_sha256_reads_in_chunks(tmp_path):
+    import hashlib
+    import tracemalloc
+
+    from metok.cli import _sha256
+
+    p = tmp_path / "big.bin"
+    p.write_bytes(bytes(range(256)) * (8 << 12))  # 8 MiB
+    tracemalloc.start()
+    try:
+        digest = _sha256(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert digest == hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -246,6 +247,14 @@ class TestGenSynthetic:
             gen_synthetic(3, 2, 2, 4, seed=0, num_segments=5)
 
 
+# the config file schema, as the README documents it
+FILE_KEYS = (
+    "k", "alpha", "beta", "s1", "s2", "r", "layer_boundaries",
+    "layers", "heads", "d_model", "mlp_ratio", "seed", "disable_stages",
+)
+INT_KEYS = ("k", "s1", "s2", "layers", "heads", "d_model", "seed")
+
+
 class TestRunConfig:
     def test_defaults_match_reference_regime(self, tmp_path):
         p = tmp_path / "c.json"
@@ -280,15 +289,50 @@ class TestRunConfig:
             load_config(p)
 
     def test_unknown_key_warns(self, tmp_path):
+        # runtime fields are set by CLI flags, so the file treats them as unknown
         p = tmp_path / "c.json"
-        p.write_text('{"bogus": 1}')
-        with pytest.warns(UserWarning, match="bogus"):
+        keys = ("bogus", "baseline_stride", "event_score", "frame_reduce")
+        p.write_text(json.dumps({"bogus": 1, "baseline_stride": 2, "event_score": "max",
+                                 "frame_reduce": "flatten"}))
+        with pytest.warns(UserWarning) as record:
             cfg = load_config(p)
         assert cfg == RunConfig()
+        for key in keys:
+            assert any(repr(key) in str(w.message) for w in record), key
+
+    @pytest.mark.parametrize("key,value", [
+        (key, bad) for key in FILE_KEYS for bad in ("3", True)
+    ] + [(key, 2.5) for key in INT_KEYS] + [
+        ("layer_boundaries", [3, 10, 19.5]),
+        ("layer_boundaries", [3, 10]),
+        ("layer_boundaries", [3, 10, True]),
+        ("disable_stages", ["vision", 1]),
+    ])
+    def test_wrong_type_is_config_error(self, tmp_path, key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_bytes(b'{"k": "\xff"}')
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_to_dict_keys_are_the_documented_names(self):
+        assert sorted(RunConfig().to_dict()) == sorted(FILE_KEYS + (
+            "event_score", "frame_reduce", "baseline_stride",
+        ))
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ConfigError):
             RunConfig(heads=5, d_model=64)
+
+    def test_mlp_ratio_must_be_finite(self):
+        # json.loads accepts Infinity, which would overflow the MLP width
+        with pytest.raises(ConfigError):
+            RunConfig(mlp_ratio=float("inf"))
 
     def test_s1_le_s2(self):
         with pytest.raises(ConfigError):
