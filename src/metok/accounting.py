@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data_io import RunConfig
+from .data_io import STAGES, RunConfig, config_with
 from .schedule import PruneSchedule, kv_drop_layer
 
 __all__ = [
@@ -176,12 +176,6 @@ def baseline_trace(
     text_len: int,
     decode_steps: int,
 ) -> InferenceTrace:
-    """Price the no-compression run: full sequence at every layer, full cache."""
-    n = n_visual + text_len
-    return InferenceTrace(
-        layer_lengths=[n] * cfg.layers,
-        cached_positions=[n] * cfg.layers,
-        decode_steps=decode_steps,
-        d_model=cfg.d_model,
-        mlp_ratio=cfg.mlp_ratio,
-    )
+    """Price the no-compression run: analytic_trace with every stage off keeps every token."""
+    no_stages = config_with(cfg, disable_stages=STAGES)
+    return analytic_trace(no_stages, n_visual, 0, text_len, decode_steps)

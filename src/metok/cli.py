@@ -6,7 +6,9 @@ reproduced bit for bit from its manifest. The config file sets every RunConfig
 field outside RUNTIME_FIELDS; flags set those. Exit codes: 0 success, 1 usage
 error, 2 data error (a malformed config or input file, or inputs that do not
 fit together); any other failure is a bug and surfaces as a traceback.
-METOK_THREADS caps how many sweep points run at once.
+A failed command writes nothing: --out and its artifacts appear only once the
+config and inputs pass every check, and a sweep writes only after every point
+has run. METOK_THREADS caps how many sweep points run at once.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
         fh.write(text.encode())
 
@@ -108,23 +111,33 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return h, w
 
 
-def _load_inputs(args) -> tuple[FrameEmbeddings, TextEmbedding]:
-    frames = read_embeddings(Path(args.input))
-    text = read_embeddings(Path(args.text))
-    if not isinstance(frames, FrameEmbeddings):
-        raise MebfError(f"{args.input}: expected a frame tensor record")
-    if not isinstance(text, TextEmbedding):
-        raise MebfError(f"{args.text}: expected a text embedding record")
-    if frames.dim != text.dim:
-        raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
-    return frames, text
+def _on_inputs(command: str, body):
+    """Handler of a command over --config, --input and --text.
 
+    Once the config and inputs pass their checks, body(args, cfg, frames, text,
+    out) writes the artifacts and returns their paths; the manifest comes last.
+    """
+    def handler(args, argv) -> int:
+        cfg = load_config(Path(args.config))
+        overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
+                     if getattr(args, name) is not None}
+        cfg = config_with(cfg, **overrides) if overrides else cfg
+        frames, text = read_embeddings(Path(args.input)), read_embeddings(Path(args.text))
+        if not isinstance(frames, FrameEmbeddings):
+            raise MebfError(f"{args.input}: expected a frame tensor record")
+        if not isinstance(text, TextEmbedding):
+            raise MebfError(f"{args.text}: expected a text embedding record")
+        if frames.dim != text.dim:
+            raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
+        out = Path(args.out)
+        artifacts = body(args, cfg, frames, text, out)
+        _write_manifest(
+            out, command, argv, cfg.seed, cfg.to_dict(),
+            {"input": Path(args.input), "text": Path(args.text)}, artifacts,
+        )
+        return 0
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(Path(args.config))
-    overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
-                 if getattr(args, name) is not None}
-    return config_with(cfg, **overrides) if overrides else cfg
+    return handler
 
 
 def _cmd_gen(args, argv) -> int:
@@ -154,79 +167,56 @@ def _cmd_gen(args, argv) -> int:
     return 0
 
 
-def _cmd_compress(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _load_run_config(args)
-    frames, text = _load_inputs(args)
+def _compress(args, cfg, frames, text, out) -> list[Path]:
     stream, partition = run_vision_stage(frames, text, cfg)
     stats = compress_stats(stream, partition, frames.num_frames * frames.tokens_per_frame)
     stats_path = out / "stream_stats.json"
     _write_json(stats_path, stats)
-    _write_manifest(
-        out, "compress", argv, cfg.seed, cfg.to_dict(),
-        {"input": Path(args.input), "text": Path(args.text)}, [stats_path],
-    )
     print(f"retained {stats['retained_tokens']} of {stats['raw_tokens']} tokens "
           f"({100 * stats['retained_fraction']:.2f}%)")
-    return 0
+    return [stats_path]
 
 
-def _cmd_simulate(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _load_run_config(args)
-    frames, text = _load_inputs(args)
+def _simulate(args, cfg, frames, text, out) -> list[Path]:
     result = run_simulation(frames, text, cfg, steps=args.steps, analytic=args.analytic)
     report_path, trace_path = out / "report.json", out / "trace.json"
     _write_json(report_path, result.report.to_dict())
     _write_json(trace_path, result.trace_dict())
-    _write_manifest(
-        out, "simulate", argv, cfg.seed, cfg.to_dict(),
-        {"input": Path(args.input), "text": Path(args.text)}, [report_path, trace_path],
-    )
     rep = result.report
     if not args.analytic:
         print(f"prefill_ms baseline={result.baseline.prefill_ms:.3f} "
               f"compressed={result.compressed.prefill_ms:.3f}")
     print(f"flops reduction {rep.flops_reduction_pct:.2f}%  "
           f"kv reduction {rep.kv_reduction_pct:.2f}%")
-    return 0
+    return [report_path, trace_path]
 
 
-def _cmd_diag_attention_ratio(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _load_run_config(args)
-    frames, text = _load_inputs(args)
+def _diag_attention_ratio(args, cfg, frames, text, out) -> list[Path]:
     if args.steps < 2:
         raise UsageError("attention-ratio needs --steps >= 2 to record a decode forward")
     result = run_simulation(frames, text, cfg, steps=args.steps, analytic=False)
     ratios = attention_ratio_trace(result.decode_output)
-    csv_path = out / "attention_ratio.csv"
     lines = ["layer,visual_ratio,text_ratio"]
-    for layer in range(ratios.shape[0]):
-        lines.append(f"{layer},{ratios[layer, 0]:.12g},{ratios[layer, 1]:.12g}")
+    lines += [f"{layer},{vis:.12g},{txt:.12g}" for layer, (vis, txt) in enumerate(ratios)]
+    csv_path = out / "attention_ratio.csv"
     _write_text(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(
-        out, "diag attention-ratio", argv, cfg.seed, cfg.to_dict(),
-        {"input": Path(args.input), "text": Path(args.text)}, [csv_path],
-    )
     print(f"wrote {csv_path}")
-    return 0
+    return [csv_path]
 
 
 _SWEEPABLE = ("k", "alpha", "beta", "s1", "s2", "r", "layers")
 
 
-def _parse_sweep_params(params: list[str]) -> list[tuple[str, list]]:
-    axes = []
+def _parse_sweep_params(params: list[str]) -> dict[str, list]:
+    axes = {}
     for param in params:
         if "=" not in param:
             raise UsageError(f"--param expects name=v1,v2,..., got {param!r}")
         name, _, values = param.partition("=")
         if name not in _SWEEPABLE:
             raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
+        if name in axes:
+            raise UsageError(f"--param {name} given more than once")
         cast = get_type_hints(RunConfig)[name]
         try:
             parsed = [cast(v) for v in values.split(",") if v != ""]
@@ -234,49 +224,44 @@ def _parse_sweep_params(params: list[str]) -> list[tuple[str, list]]:
             raise UsageError(f"bad value in --param {param!r}") from e
         if not parsed:
             raise UsageError(f"--param {param!r} lists no values")
-        axes.append((name, parsed))
+        axes[name] = parsed
     return axes
 
 
-def _cmd_sweep(args, argv) -> int:
-    cfg = _load_run_config(args)
-    frames, text = _load_inputs(args)
+def _sweep(args, cfg, frames, text, out) -> list[Path]:
     axes = _parse_sweep_params(args.param)
-    names = [name for name, _ in axes]
-    points = list(itertools.product(*(values for _, values in axes)))
-    # every point's config is validated before any point runs or writes
-    point_cfgs = [config_with(cfg, **dict(zip(names, point))) for point in points]
-    threads = max(1, int(os.environ.get("METOK_THREADS", "1")))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    points = list(itertools.product(*axes.values()))
+    # every point's config is checked before any point runs
+    point_cfgs = [config_with(cfg, **dict(zip(axes, point))) for point in points]
+    threads = os.environ.get("METOK_THREADS", "1")
+    try:
+        threads = max(1, int(threads))  # values below 1 mean one thread
+    except ValueError:
+        raise UsageError(f"METOK_THREADS must be an integer, got {threads!r}") from None
 
-    def run_point(index_point):
-        index, (point, point_cfg) = index_point
-        result = run_simulation(frames, text, point_cfg, steps=args.steps, analytic=args.analytic)
-        point_dir = out / f"point_{index:03d}"
-        point_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(point_dir / "report.json", result.report.to_dict())
-        return index, point, result.report
+    def point_report(point_cfg):
+        return run_simulation(frames, text, point_cfg, steps=args.steps,
+                              analytic=args.analytic).report
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_point, enumerate(zip(points, point_cfgs))))
+        reports = list(pool.map(point_report, point_cfgs))
 
-    lines = ["point," + ",".join(names) + ",flops_reduction_pct,kv_reduction_pct"]
-    for index, point, rep in results:
+    # written only once every point has run, so a failed point leaves nothing behind
+    report_paths = []
+    lines = ["point," + ",".join(axes) + ",flops_reduction_pct,kv_reduction_pct"]
+    for index, (point, rep) in enumerate(zip(points, reports)):
+        report_paths.append(out / f"point_{index:03d}" / "report.json")
+        _write_json(report_paths[-1], rep.to_dict())
         values = ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in point)
         lines.append(f"{index},{values},{rep.flops_reduction_pct:.12g},{rep.kv_reduction_pct:.12g}")
     summary_path = out / "summary.csv"
     _write_text(summary_path, "\n".join(lines) + "\n")
-    artifacts = [summary_path] + [out / f"point_{i:03d}" / "report.json" for i, _, _ in results]
-    _write_manifest(
-        out, "sweep", argv, cfg.seed, cfg.to_dict(),
-        {"input": Path(args.input), "text": Path(args.text)}, artifacts,
-    )
-    print(f"swept {len(points)} points over {names}")
-    return 0
+    print(f"swept {len(points)} points over {list(axes)}")
+    return [summary_path, *report_paths]
 
 
-def _add_io_args(p: _Parser, with_steps: bool = True) -> None:
+def _add_io_args(p: _Parser, command: str, body, with_steps: bool = True) -> None:
+    p.set_defaults(handler=_on_inputs(command, body))
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--input", required=True, help="frame embeddings (MEBF)")
     p.add_argument("--text", required=True, help="text embedding (MEBF)")
@@ -305,22 +290,23 @@ def build_parser() -> _Parser:
     gen.add_argument("--text-event", dest="text_event", type=int, default=None)
     gen.add_argument("--text-len", dest="text_len", type=int, default=8)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(handler=_cmd_gen)
 
     compress = sub.add_parser("compress", help="vision stage only; emit token-stream stats")
-    _add_io_args(compress, with_steps=False)
+    _add_io_args(compress, "compress", _compress, with_steps=False)
 
     simulate = sub.add_parser("simulate", help="full pipeline vs automatic baseline")
-    _add_io_args(simulate)
+    _add_io_args(simulate, "simulate", _simulate)
     simulate.add_argument("--analytic", action="store_true",
                           help="price runs from the schedule; skip the toy forward pass")
 
     diag = sub.add_parser("diag", help="diagnostics")
     diag_sub = diag.add_subparsers(dest="diag_command", required=True)
     attn = diag_sub.add_parser("attention-ratio", help="per-layer visual/text attention CSV")
-    _add_io_args(attn)
+    _add_io_args(attn, "diag attention-ratio", _diag_attention_ratio)
 
     sweep = sub.add_parser("sweep", help="cartesian parameter sweep, one report per point")
-    _add_io_args(sweep)
+    _add_io_args(sweep, "sweep", _sweep)
     sweep.add_argument("--param", action="append", required=True,
                        help="axis as name=v1,v2,... (repeatable)")
     sweep.add_argument("--analytic", action="store_true")
@@ -329,20 +315,9 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args, argv)
-        if args.command == "compress":
-            return _cmd_compress(args, argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args, argv)
-        if args.command == "diag":
-            return _cmd_diag_attention_ratio(args, argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args, argv)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.handler(args, argv)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -58,14 +58,9 @@ class SimulationResult:
 
         out = {"baseline": one(self.baseline), "compressed": one(self.compressed)}
         if self.decode_output is not None:
-            out["decode"] = {
-                "tokens": self.decode_output.tokens.tolist(),
-                "logits_digest": _digest(self.decode_output.logits),
-            }
-            out["baseline_decode"] = {
-                "tokens": self.baseline_decode_output.tokens.tolist(),
-                "logits_digest": _digest(self.baseline_decode_output.logits),
-            }
+            for name, dec in (("decode", self.decode_output),
+                              ("baseline_decode", self.baseline_decode_output)):
+                out[name] = {"tokens": dec.tokens.tolist(), "logits_digest": _digest(dec.logits)}
         return out
 
 

@@ -5,8 +5,10 @@ adjacent-frame similarity, ranks events and frames by text relevance, and then
 pools each frame at a stride chosen by its key/non-key event and frame status.
 Non-key events get their strides widened by 1/alpha so they are downsampled
 harder than key events. Each pooled token keeps only its event's key flag, the
-group tag the prefill schedule reads. The disabled stage (the bypass) pools
-every frame uniformly under one all-key partition, built by _all_key_partition.
+group tag the prefill schedule reads. Both paths pool through _pool_frames,
+which takes one stride and one group flag per frame; the disabled stage (the
+bypass) gives every frame the baseline stride and the key flag, and reports
+the one all-key partition built by _all_key_partition.
 """
 
 from __future__ import annotations
@@ -79,13 +81,11 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
     """Split the video into k contiguous events at the k-1 lowest adjacent similarities.
 
     Ties break toward the smaller (earlier) similarity index. A k outside
-    [1, T] fails with ConfigError.
+    [1, T] fails with ConfigError, and a zero-norm frame with ZeroNormError.
     """
     t = v.num_frames
     if not 1 <= k <= t:
         raise ConfigError(f"need 1 <= k <= {t}, got k={k}")
-    if k == 1:
-        return EventPartition(num_frames=t, boundaries=())
     vecs = _frame_vectors(v, frame_reduce)
     sims = np.array([cosine(vecs[i], vecs[i + 1]) for i in range(t - 1)])
     cuts = top_k_stable(-sims, k - 1)
@@ -166,18 +166,14 @@ class TokenStream:
         return n_key, len(self) - n_key
 
 
-def _pool_frames(
-    v: FrameEmbeddings,
-    partition: EventPartition,
-    stride_of_frame: np.ndarray,
-) -> TokenStream:
-    chunks = [avg_pool_2d(v.frame_grid(i), int(stride_of_frame[i])).reshape(-1, v.dim)
+def _pool_frames(v: FrameEmbeddings, strides: np.ndarray, key_of_frame: np.ndarray) -> TokenStream:
+    """Pool frame i at strides[i]; its tokens take the group flag key_of_frame[i]."""
+    chunks = [avg_pool_2d(v.frame_grid(i), int(strides[i])).reshape(-1, v.dim)
               for i in range(v.num_frames)]
-    key_of_frame = np.repeat(partition.key_event, [len(ev) for ev in partition.events])
     return TokenStream(
         tokens=np.concatenate(chunks, axis=0),
         key_event=np.repeat(key_of_frame, [c.shape[0] for c in chunks]),
-        frame_strides=stride_of_frame.astype(np.int64),
+        frame_strides=strides.astype(np.int64),
     )
 
 
@@ -197,15 +193,11 @@ def adaptive_pool(
         raise ValueError("key flags not populated; run select_keys first")
     if s1 > s2:
         raise ValueError(f"s1 must not exceed s2, got ({s1}, {s2})")
-    s1_wide, s2_wide = scaled_stride(s1, alpha), scaled_stride(s2, alpha)
-    stride_of_frame = np.empty(v.num_frames, dtype=np.int64)
-    for j, ev in enumerate(partition.events):
-        for i in ev:
-            if partition.key_event[j]:
-                stride_of_frame[i] = s1 if partition.key_frame[i] else s2
-            else:
-                stride_of_frame[i] = s1_wide if partition.key_frame[i] else s2_wide
-    return _pool_frames(v, partition, stride_of_frame)
+    key_of_frame = np.repeat(partition.key_event, [len(ev) for ev in partition.events])
+    key_frame = partition.key_frame
+    strides = np.where(key_of_frame, np.where(key_frame, s1, s2),
+                       np.where(key_frame, scaled_stride(s1, alpha), scaled_stride(s2, alpha)))
+    return _pool_frames(v, strides, key_of_frame)
 
 
 def _all_key_partition(num_frames: int) -> EventPartition:
@@ -219,8 +211,7 @@ def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
 
     stride 1 (the default) emits the raw tokens unchanged.
     """
-    stride_of_frame = np.full(v.num_frames, stride, dtype=np.int64)
-    return _pool_frames(v, _all_key_partition(v.num_frames), stride_of_frame)
+    return _pool_frames(v, np.full(v.num_frames, stride), np.ones(v.num_frames, dtype=bool))
 
 
 def run_vision_stage(

@@ -251,8 +251,8 @@ def test_criterion_7_nesting_and_monotonicity():
     report("7 (nesting and monotonicity, 3x500 cases)", t0, 30.0)
 
 
-def simulate_criterion_8(tmp_path, runs):
-    """Criterion 8's inputs, then one toy simulate per run name; returns the output dirs."""
+def criterion_8_io(tmp_path):
+    """Criterion 8's inputs and config on disk; returns their CLI arguments."""
     data = tmp_path / "data"
     assert main(["gen", "--seed", "11", "--frames", "16", "--grid", "4x4",
                  "--dim", "16", "--events", "4", "--out", str(data)]) == 0
@@ -260,13 +260,17 @@ def simulate_criterion_8(tmp_path, runs):
     cfg_path.write_text(json.dumps({
         "k": 4, "layers": 8, "heads": 2, "d_model": 32, "layer_boundaries": [2, 4, 6],
     }))
+    return ["--config", str(cfg_path), "--input", str(data / "video.mebf"),
+            "--text", str(data / "text.mebf")]
+
+
+def simulate_criterion_8(tmp_path, runs):
+    """Criterion 8's inputs, then one toy simulate per run name; returns the output dirs."""
+    io_args = criterion_8_io(tmp_path)
     outs = []
     for name in runs:
         out = tmp_path / name
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--input", str(data / "video.mebf"),
-                     "--text", str(data / "text.mebf"),
-                     "--out", str(out), "--steps", "5"]) == 0
+        assert main(["simulate", *io_args, "--out", str(out), "--steps", "5"]) == 0
         outs.append(out)
     return outs
 
@@ -298,3 +302,23 @@ def test_criterion_8_artifacts_match_golden(tmp_path):
         del trace[run]["logits_digest"]
     want = (GOLDEN_CRITERION_8 / "trace.json").read_text()
     assert json.dumps(trace, indent=2, sort_keys=True) + "\n" == want
+
+
+def test_criterion_8_compress_and_sweep_match_golden(tmp_path):
+    """compress's stream_stats.json and an analytic sweep's summary.csv and point reports.
+
+    None of them depends on logits, so the goldens hold on every platform.
+    """
+    io_args = criterion_8_io(tmp_path)
+    assert main(["compress", *io_args, "--out", str(tmp_path / "compress")]) == 0
+    assert main(["sweep", *io_args, "--out", str(tmp_path / "sweep"), "--analytic",
+                 "--steps", "5", "--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"]) == 0
+    for command in ("compress", "sweep"):
+        golden = GOLDEN_CRITERION_8 / command
+        want = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+        got = sorted(p.relative_to(tmp_path / command)
+                     for p in (tmp_path / command).rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+        assert got == want
+        for rel in want:
+            assert (tmp_path / command / rel).read_bytes() == (golden / rel).read_bytes(), rel

@@ -6,10 +6,14 @@ benchmark's own smoke run.
 """
 
 import importlib.util
+import io
+import json
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from metok import pipeline
-from metok.data_io import RunConfig, gen_synthetic
+from metok import cli, pipeline
+from metok.data_io import RunConfig, gen_synthetic, write_embeddings
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -39,3 +43,31 @@ def test_tracer_hooks_resolve_and_record_spans():
     metrics, _ = tracing.summarize(tracer, ops=1)
     assert metrics["toy_llm.kv_entries"] > 0
     assert metrics["schedule.kept_frac.l1"] > 0
+
+
+def test_traced_cli_op_records_one_span_per_call(tmp_path):
+    """An analytic `metok simulate` reaches every CLI-side hook through its module."""
+    tracing = load_tracing()
+    frames, text = gen_synthetic(8, 4, 4, 16, seed=3, num_segments=2)
+    write_embeddings(frames, tmp_path / "video.mebf")
+    write_embeddings(text, tmp_path / "text.mebf")
+    cfg = {"k": 2, "layers": 4, "heads": 2, "d_model": 16, "layer_boundaries": [1, 2, 3]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["simulate", "--analytic", "--config", str(tmp_path / "cfg.json"),
+            "--input", str(tmp_path / "video.mebf"), "--text", str(tmp_path / "text.mebf"),
+            "--out", str(tmp_path / "out"), "--steps", "3"]
+    tracer = tracing.Tracer(1.0)
+    tracer.install()
+    try:
+        with tracer.op(0), redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    counts = Counter(span[0] for span in tracer.spans)
+    assert counts["cli.main"] == 1
+    assert counts["data_io.read"] == 2
+    assert counts["pipeline.run_simulation"] == 1
+    assert counts["accounting.price"] == 3
+    # adaptive_pool records its attrs; uniform_stream, the baseline's pool, records none
+    pools = [span[5] for span in tracer.spans if span[0] == "vision.pool"]
+    assert len(pools) == 2 and sum(attrs is None for attrs in pools) == 1

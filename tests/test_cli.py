@@ -231,6 +231,28 @@ class TestSweep:
                    "--out", str(tmp_path / "x"), "--param", "bogus=1,2"])
         assert rc == 1
 
+    def test_repeated_axis_is_usage_error(self, data_dir, config_path, tmp_path):
+        # two r axes would name a value in summary.csv that the point never ran at
+        out = tmp_path / "x"
+        rc = main(["sweep", "--config", str(config_path),
+                   "--input", str(data_dir / "video.mebf"),
+                   "--text", str(data_dir / "text.mebf"),
+                   "--out", str(out), "--param", "r=0.3", "--param", "r=0.7", "--analytic"])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_thread_count_must_be_an_integer(self, data_dir, config_path, tmp_path,
+                                             monkeypatch):
+        args = ["sweep", "--config", str(config_path),
+                "--input", str(data_dir / "video.mebf"),
+                "--text", str(data_dir / "text.mebf"),
+                "--param", "r=0.3,0.7", "--analytic", "--steps", "4"]
+        monkeypatch.setenv("METOK_THREADS", "two")
+        assert main(args + ["--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x").exists()
+        monkeypatch.setenv("METOK_THREADS", "0")  # below 1 still means one thread
+        assert main(args + ["--out", str(tmp_path / "y")]) == 0
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -291,6 +313,27 @@ class TestExitCodes:
         monkeypatch.setattr(toy_llm, "select_at_boundary", broken)
         with pytest.raises(ValueError, match="schedule wants"):
             run_sim(data_dir, config_path, tmp_path / "o")
+
+
+@pytest.mark.parametrize("command, extra, bad_config, code", [
+    (["compress"], [], True, 2),
+    (["simulate"], [], True, 2),
+    (["diag", "attention-ratio"], [], True, 2),
+    (["diag", "attention-ratio"], ["--steps", "1"], False, 1),
+    # the second point's k exceeds the fixture's 12 frames, after the first point ran
+    (["sweep"], ["--param", "k=1,13", "--analytic"], False, 2),
+], ids=["compress-bad-config", "simulate-bad-config", "diag-bad-config", "diag-one-step",
+        "sweep-k-above-frames"])
+def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path,
+                                          command, extra, bad_config, code):
+    if bad_config:
+        config_path.write_text('{"alpha": 1.5}')
+    out = tmp_path / "o"
+    rc = main([*command, "--config", str(config_path),
+               "--input", str(data_dir / "video.mebf"), "--text", str(data_dir / "text.mebf"),
+               "--out", str(out), *extra])
+    assert rc == code
+    assert not out.exists()
 
 
 def test_sha256_reads_in_chunks(tmp_path):

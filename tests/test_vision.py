@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metok.data_io import FrameEmbeddings, RunConfig, TextEmbedding, gen_synthetic
-from metok.kernels import Rng64, avg_pool_2d, ceil_scaled
+from metok.kernels import Rng64, ZeroNormError, avg_pool_2d, ceil_scaled
 from metok.vision import (
     EventPartition,
     adaptive_pool,
@@ -63,6 +63,13 @@ class TestSegmentEvents:
         part = segment_events(v, 1)
         assert part.num_events == 1
         assert [(e.start, e.stop) for e in part.events] == [(0, 4)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_norm_frame_fails_whatever_k(self, k):
+        v = frames_with_adjacent_sims([0.5, 0.5, 0.5])
+        v.tokens[2] = 0.0
+        with pytest.raises(ZeroNormError):
+            segment_events(v, k)
 
     def test_k_equals_t(self):
         v = frames_with_adjacent_sims([0.5, 0.9, 0.1])
