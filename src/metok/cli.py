@@ -43,7 +43,7 @@ from .data_io import (
 from .kernels import ZeroNormError
 from .pipeline import compress_stats, run_simulation
 from .toy_llm import attention_ratio_trace
-from .vision import run_vision_stage
+from .vision import plan_vision_stage
 
 __all__ = ["main"]
 
@@ -168,8 +168,8 @@ def _cmd_gen(args, argv) -> int:
 
 
 def _compress(args, cfg, frames, text, out) -> list[Path]:
-    stream, partition = run_vision_stage(frames, text, cfg)
-    stats = compress_stats(stream, partition, frames.num_frames * frames.tokens_per_frame)
+    plan = plan_vision_stage(frames, text, cfg)
+    stats = compress_stats(plan, frames.num_frames * frames.tokens_per_frame)
     stats_path = out / "stream_stats.json"
     _write_json(stats_path, stats)
     print(f"retained {stats['retained_tokens']} of {stats['raw_tokens']} tokens "

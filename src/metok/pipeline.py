@@ -2,10 +2,11 @@
 
 Every simulation compares against an automatic no-compression baseline (all
 stages disabled, uniform pooling at the configured baseline stride) so each
-report is self-contained. The analytic path prices both runs straight from the
-schedule without touching the toy model, which is what makes large desk
-replicas cheap. The toy path also measures each prefill's wall-clock on its
-trace; the report leaves it out.
+report is self-contained. The analytic path prices both runs from their vision
+plans, pooling no token and never touching the toy model, which is what makes
+large desk replicas cheap; compress_stats reads a plan too. The toy path
+materialises the plans into pooled streams and measures each prefill's
+wall-clock on its trace; the report leaves it out.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from .toy_llm import (
     init_model,
     prefill,
 )
-from .vision import EventPartition, TokenStream, run_vision_stage
+from .vision import TokenStream, VisionPlan, plan_vision_stage, run_vision_stage
 
 __all__ = ["SimulationResult", "compress_stats", "run_simulation"]
 
 
 @dataclass
 class SimulationResult:
-    stream: TokenStream
+    stream: TokenStream | None              # None in analytic mode, which pools no token
     compressed: InferenceTrace
     baseline: InferenceTrace
     report: ReductionReport
@@ -68,13 +69,14 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
 
 
-def compress_stats(stream: TokenStream, partition: EventPartition, raw_tokens: int) -> dict:
-    """Summary of what the vision stage kept, for the compress artifact."""
-    n_key, n_nonkey = stream.group_counts()
+def compress_stats(plan: VisionPlan, raw_tokens: int) -> dict:
+    """Summary of what the vision stage keeps, for the compress artifact."""
+    n_key, n_nonkey = plan.group_counts()
+    partition = plan.partition
     return {
         "raw_tokens": raw_tokens,
-        "retained_tokens": len(stream),
-        "retained_fraction": len(stream) / raw_tokens if raw_tokens else 0.0,
+        "retained_tokens": len(plan),
+        "retained_fraction": len(plan) / raw_tokens if raw_tokens else 0.0,
         "key_group_tokens": n_key,
         "nonkey_group_tokens": n_nonkey,
         "num_events": partition.num_events,
@@ -84,7 +86,7 @@ def compress_stats(stream: TokenStream, partition: EventPartition, raw_tokens: i
             int(np.count_nonzero(partition.key_frame[ev.start : ev.stop]))
             for ev in partition.events
         ],
-        "frame_strides": stream.frame_strides.tolist(),
+        "frame_strides": plan.frame_strides.tolist(),
     }
 
 
@@ -115,32 +117,28 @@ def _toy_trace(
     return trace, out
 
 
-def run_simulation(
-    frames: FrameEmbeddings,
-    text: TextEmbedding,
-    cfg: RunConfig,
-    steps: int = 8,
-    analytic: bool = False,
-) -> SimulationResult:
+def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
+                   steps: int = 8, analytic: bool = False) -> SimulationResult:
     """Run the compressed pipeline and its no-compression baseline, then compare.
 
     The baseline disables every stage and pools uniformly at cfg.baseline_stride
-    (stride 1 means raw tokens). In analytic mode both runs are priced from the
-    schedule; decode FLOPs count steps-1 forward passes, matching the toy path
-    where the first token comes straight from prefill.
+    (stride 1 means raw tokens). In analytic mode both runs are priced from their
+    vision plans and the schedule, pooling no token; decode FLOPs count steps-1
+    forward passes, matching the toy path where the first token comes straight
+    from prefill.
     """
     base_cfg = config_with(cfg, disable_stages=STAGES)
-    stream, _ = run_vision_stage(frames, text, cfg)
-    base_stream, _ = run_vision_stage(frames, text, base_cfg)
-    n_key, n_nonkey = stream.group_counts()
     m = text.num_tokens
     forwards = max(0, steps - 1)
 
     if analytic:
-        compressed = analytic_trace(cfg, n_key, n_nonkey, m, forwards)
-        base = baseline_trace(base_cfg, len(base_stream), m, forwards)
-        out = base_out = None
+        plan = plan_vision_stage(frames, text, cfg)
+        compressed = analytic_trace(cfg, *plan.group_counts(), m, forwards)
+        base = baseline_trace(base_cfg, len(plan_vision_stage(frames, text, base_cfg)), m, forwards)
+        stream = out = base_out = None
     else:
+        stream, _ = run_vision_stage(frames, text, cfg)
+        base_stream, _ = run_vision_stage(frames, text, base_cfg)
         model = init_model(cfg)
         compressed, out = _toy_trace(cfg, model, stream, text, steps)
         base, base_out = _toy_trace(base_cfg, model, base_stream, text, steps)

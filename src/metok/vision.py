@@ -5,10 +5,10 @@ adjacent-frame similarity, ranks events and frames by text relevance, and then
 pools each frame at a stride chosen by its key/non-key event and frame status.
 Non-key events get their strides widened by 1/alpha so they are downsampled
 harder than key events. Each pooled token keeps only its event's key flag, the
-group tag the prefill schedule reads. Both paths pool through _pool_frames,
-which takes one stride and one group flag per frame; the disabled stage (the
-bypass) gives every frame the baseline stride and the key flag, and reports
-the one all-key partition built by _all_key_partition.
+group tag the prefill schedule reads. plan_vision_stage fixes each frame's
+stride and group flag and counts tokens by ceil(h/s) * ceil(w/s), pooling none;
+run_vision_stage materialises the plan through adaptive_pool, or uniform_stream
+for the bypass (the disabled stage), which both pool through _pool_frames.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .kernels import avg_pool_2d, ceil_scaled, cosine, top_k_stable
 __all__ = [
     "EventPartition",
     "TokenStream",
+    "VisionPlan",
     "adaptive_pool",
+    "plan_vision_stage",
     "run_vision_stage",
     "scaled_stride",
     "score_relevance",
@@ -47,6 +49,7 @@ class EventPartition:
     event_scores: np.ndarray | None = None
     key_event: np.ndarray | None = None
     key_frame: np.ndarray | None = None
+    frame_means: np.ndarray | None = None   # kept by segment_events for score_relevance
 
     def __post_init__(self):
         self.boundaries = tuple(sorted(int(b) for b in self.boundaries))
@@ -89,7 +92,8 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
     vecs = _frame_vectors(v, frame_reduce)
     sims = np.array([cosine(vecs[i], vecs[i + 1]) for i in range(t - 1)])
     cuts = top_k_stable(-sims, k - 1)
-    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts))
+    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts),
+                          frame_means=vecs if frame_reduce == "mean" else None)
 
 
 def score_relevance(
@@ -107,7 +111,7 @@ def score_relevance(
         raise ValueError(f"unknown event_score mode {event_score!r}")
     if v.dim != text.dim:
         raise ValueError(f"embedding dims differ: frames {v.dim}, text {text.dim}")
-    means = v.tokens.mean(axis=1)
+    means = v.tokens.mean(axis=1) if partition.frame_means is None else partition.frame_means
     partition.frame_scores = np.array([cosine(m, text.vector) for m in means])
     agg = np.mean if event_score == "mean" else np.max
     partition.event_scores = np.array(
@@ -166,29 +170,41 @@ class TokenStream:
         return n_key, len(self) - n_key
 
 
-def _pool_frames(v: FrameEmbeddings, strides: np.ndarray, key_of_frame: np.ndarray) -> TokenStream:
-    """Pool frame i at strides[i]; its tokens take the group flag key_of_frame[i]."""
-    chunks = [avg_pool_2d(v.frame_grid(i), int(strides[i])).reshape(-1, v.dim)
+@dataclass
+class VisionPlan:
+    """Each frame's pooling stride and group flag, counted without pooling a token."""
+
+    partition: EventPartition
+    frame_strides: np.ndarray               # (T,) int64
+    key_of_frame: np.ndarray                # (T,) bool
+    grid_h: int
+    grid_w: int
+
+    def __len__(self) -> int:
+        return sum(self.group_counts())
+
+    def group_counts(self) -> tuple[int, int]:
+        """(key, non-key) token counts entering the model."""
+        s = self.frame_strides
+        counts = (-(-self.grid_h // s)) * (-(-self.grid_w // s))
+        n_key = int(counts[self.key_of_frame].sum())
+        return n_key, int(counts.sum()) - n_key
+
+
+def _pool_frames(v: FrameEmbeddings, plan: VisionPlan) -> TokenStream:
+    """Pool frame i at the plan's stride; its tokens take the plan's group flag."""
+    chunks = [avg_pool_2d(v.frame_grid(i), int(plan.frame_strides[i])).reshape(-1, v.dim)
               for i in range(v.num_frames)]
     return TokenStream(
         tokens=np.concatenate(chunks, axis=0),
-        key_event=np.repeat(key_of_frame, [c.shape[0] for c in chunks]),
-        frame_strides=strides.astype(np.int64),
+        key_event=np.repeat(plan.key_of_frame, [c.shape[0] for c in chunks]),
+        frame_strides=plan.frame_strides,
     )
 
 
-def adaptive_pool(
-    v: FrameEmbeddings,
-    partition: EventPartition,
-    s1: int,
-    s2: int,
-    alpha: float,
-) -> TokenStream:
-    """Pool every frame at the stride its key/non-key event and frame status selects.
-
-    Key events use (s1, s2) for key/non-key frames; non-key events use the same
-    pair widened by 1/alpha. Frames are pooled independently and emitted in order.
-    """
+def _stride_plan(v: FrameEmbeddings, partition: EventPartition, s1: int, s2: int,
+                 alpha: float) -> VisionPlan:
+    """Each frame's stride and group flag under the stride rule of adaptive_pool."""
     if partition.key_event is None or partition.key_frame is None:
         raise ValueError("key flags not populated; run select_keys first")
     if s1 > s2:
@@ -197,13 +213,24 @@ def adaptive_pool(
     key_frame = partition.key_frame
     strides = np.where(key_of_frame, np.where(key_frame, s1, s2),
                        np.where(key_frame, scaled_stride(s1, alpha), scaled_stride(s2, alpha)))
-    return _pool_frames(v, strides, key_of_frame)
+    return VisionPlan(partition, strides.astype(np.int64), key_of_frame, v.grid_h, v.grid_w)
 
 
-def _all_key_partition(num_frames: int) -> EventPartition:
-    """The bypass partition: one event, key, whose every frame is key."""
-    return EventPartition(num_frames=num_frames, boundaries=(), key_event=np.array([True]),
-                          key_frame=np.ones(num_frames, dtype=bool))
+def _bypass_plan(v: FrameEmbeddings, stride: int) -> VisionPlan:
+    """The bypass: the stride rule over one key event whose every frame is key."""
+    partition = EventPartition(num_frames=v.num_frames, boundaries=(), key_event=np.array([True]),
+                               key_frame=np.ones(v.num_frames, dtype=bool))
+    return _stride_plan(v, partition, stride, stride, 1.0)
+
+
+def adaptive_pool(v: FrameEmbeddings, partition: EventPartition, s1: int, s2: int,
+                  alpha: float) -> TokenStream:
+    """Pool every frame at the stride its key/non-key event and frame status selects.
+
+    Key events use (s1, s2) for key/non-key frames; non-key events use the same
+    pair widened by 1/alpha. Frames are pooled independently and emitted in order.
+    """
+    return _pool_frames(v, _stride_plan(v, partition, s1, s2, alpha))
 
 
 def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
@@ -211,23 +238,27 @@ def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
 
     stride 1 (the default) emits the raw tokens unchanged.
     """
-    return _pool_frames(v, np.full(v.num_frames, stride), np.ones(v.num_frames, dtype=bool))
+    return _pool_frames(v, _bypass_plan(v, stride))
 
 
-def run_vision_stage(
-    v: FrameEmbeddings,
-    text: TextEmbedding,
-    cfg: RunConfig,
-) -> tuple[TokenStream, EventPartition]:
-    """Full vision stage: segment, score, select, pool.
+def plan_vision_stage(v: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig) -> VisionPlan:
+    """Segment, score, select and fix every frame's stride, or plan the bypass."""
+    if not cfg.stage_enabled("vision"):
+        return _bypass_plan(v, cfg.baseline_stride)
+    partition = segment_events(v, cfg.k, cfg.frame_reduce)
+    partition = score_relevance(v, text, partition, cfg.event_score)
+    partition = select_keys(partition, cfg.alpha, cfg.beta)
+    return _stride_plan(v, partition, cfg.s1, cfg.s2, cfg.alpha)
+
+
+def run_vision_stage(v: FrameEmbeddings, text: TextEmbedding,
+                     cfg: RunConfig) -> tuple[TokenStream, EventPartition]:
+    """Full vision stage: plan, then pool every frame at its planned stride.
 
     With the stage disabled, emits a uniform stream at the baseline stride
     (raw tokens when that stride is 1) under a single all-key event.
     """
-    if not cfg.stage_enabled("vision"):
-        return uniform_stream(v, cfg.baseline_stride), _all_key_partition(v.num_frames)
-    partition = segment_events(v, cfg.k, cfg.frame_reduce)
-    partition = score_relevance(v, text, partition, cfg.event_score)
-    partition = select_keys(partition, cfg.alpha, cfg.beta)
-    stream = adaptive_pool(v, partition, cfg.s1, cfg.s2, cfg.alpha)
-    return stream, partition
+    plan = plan_vision_stage(v, text, cfg)
+    if cfg.stage_enabled("vision"):
+        return adaptive_pool(v, plan.partition, cfg.s1, cfg.s2, cfg.alpha), plan.partition
+    return uniform_stream(v, cfg.baseline_stride), plan.partition

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from metok import data_io
+from metok import data_io, vision
 from metok.cli import main
+from tests.test_acceptance import GOLDEN_CRITERION_8, criterion_8_io
 
 
 @pytest.fixture()
@@ -334,6 +335,34 @@ def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path,
                "--out", str(out), *extra])
     assert rc == code
     assert not out.exists()
+
+
+def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
+    """Analytic simulate and sweep and compress price from the vision plan alone."""
+    def no_pooling(*args, **kwargs):
+        raise AssertionError("avg_pool_2d called")
+
+    monkeypatch.setattr(vision, "avg_pool_2d", no_pooling)
+    io_args = criterion_8_io(tmp_path)
+    for command, extra in (("simulate", ["--analytic"]), ("compress", []),
+                           ("sweep", ["--analytic", "--param", "r=0.3,0.55",
+                                      "--param", "alpha=0.4,0.8"])):
+        steps = [] if command == "compress" else ["--steps", "5"]
+        assert main([command, *io_args, "--out", str(tmp_path / command), *steps, *extra]) == 0
+    # the analytic simulate prices exactly what the toy golden measured
+    sim = tmp_path / "simulate"
+    assert (sim / "report.json").read_bytes() == (GOLDEN_CRITERION_8 / "report.json").read_bytes()
+    trace, want = (json.loads((d / "trace.json").read_text()) for d in (sim, GOLDEN_CRITERION_8))
+    assert trace == {run: want[run] for run in ("baseline", "compressed")}
+    for command in ("compress", "sweep"):
+        golden = GOLDEN_CRITERION_8 / command
+        for path in golden.rglob("*"):
+            if path.is_file():
+                rel = path.relative_to(golden)
+                assert (tmp_path / command / rel).read_bytes() == path.read_bytes(), rel
+    # the toy path still materialises the plan
+    with pytest.raises(AssertionError, match="avg_pool_2d called"):
+        main(["simulate", *io_args, "--out", str(tmp_path / "toy"), "--steps", "2"])
 
 
 def test_sha256_reads_in_chunks(tmp_path):

@@ -1,13 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metok.data_io import FrameEmbeddings, RunConfig, TextEmbedding, gen_synthetic
+from metok.data_io import (
+    EVENT_SCORES,
+    FRAME_REDUCES,
+    STAGES,
+    FrameEmbeddings,
+    RunConfig,
+    TextEmbedding,
+    gen_synthetic,
+)
 from metok.kernels import Rng64, ZeroNormError, avg_pool_2d, ceil_scaled
 from metok.vision import (
     EventPartition,
     adaptive_pool,
+    plan_vision_stage,
     run_vision_stage,
     scaled_stride,
     score_relevance,
@@ -313,3 +325,38 @@ class TestUniformStream:
         stream = uniform_stream(emb, 2)
         assert len(stream) == 3 * 4
         assert stream.frame_strides.tolist() == [2, 2, 2]
+
+
+STAGE_SUBSETS = [tuple(itertools.compress(STAGES, mask))
+                 for mask in itertools.product((False, True), repeat=len(STAGES))]
+UNIT_RATIOS = st.floats(0.05, 1.0)
+
+
+@st.composite
+def vision_runs(draw):
+    """Small videos, grids 1x1 to 7x7, with configs whose strides may exceed the grid."""
+    t, h, w = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    s1 = draw(st.integers(1, 8))
+    cfg = RunConfig(
+        k=draw(st.integers(1, t)), alpha=draw(UNIT_RATIOS), beta=draw(UNIT_RATIOS),
+        s1=s1, s2=draw(st.integers(s1, 9)), baseline_stride=draw(st.integers(1, 3)),
+        frame_reduce=draw(st.sampled_from(FRAME_REDUCES)),
+        event_score=draw(st.sampled_from(EVENT_SCORES)),
+        disable_stages=draw(st.sampled_from(STAGE_SUBSETS)),
+    )
+    frames, text = gen_synthetic(t, h, w, 6, seed=draw(st.integers(0, 10**6)),
+                                 num_segments=draw(st.integers(1, t)))
+    return frames, text, cfg
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(run=vision_runs())
+def test_plan_agrees_with_materialised_stream(run):
+    """The count-only plan and the pooled stream agree on every count and stride."""
+    frames, text, cfg = run
+    plan = plan_vision_stage(frames, text, cfg)
+    stream, partition = run_vision_stage(frames, text, cfg)
+    assert len(plan) == len(stream)
+    assert plan.group_counts() == stream.group_counts()
+    assert plan.frame_strides.tolist() == stream.frame_strides.tolist()
+    assert plan.partition.boundaries == partition.boundaries
