@@ -9,7 +9,8 @@ Embeddings travel in MEBF files (little-endian):
                 frame-major, row-major within each frame grid
     type 2:     u32 d, u32 M, then d float32, then M u32 prompt token ids
 
-Storage is 32-bit; everything in memory is 64-bit, so a write/read round trip
+Storage is 32-bit. A frame record is read as a copy-on-write map, and
+frame_grid converts one frame at a time to float64, so a write/read round trip
 is lossless modulo one 64->32->64 quantization.
 """
 
@@ -52,8 +53,9 @@ REC_TEXT = 2
 
 # refuse headers whose element count could not be a real desk-scale tensor
 MAX_ELEMENTS = 1 << 31
-# float32 elements per frame-payload read: the float64 result plus one chunk is the peak
-_READ_CHUNK = 1 << 20
+# the most elements the reader holds at once: a text record's d + M, one frame's h*w*d
+MAX_TEXT_ELEMENTS = 1 << 20
+MAX_FRAME_ELEMENTS = 1 << 24
 
 STAGES = ("vision", "prefill", "decode")
 EVENT_SCORES = ("mean", "max")
@@ -83,14 +85,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class FrameEmbeddings:
-    """Visual tokens for one video: (T, h*w, d) float64 plus the token-grid shape."""
+    """Visual tokens for one video: (T, h*w, d) values plus the token-grid shape.
+
+    tokens is a float64 array, or the float32 copy-on-write map read_embeddings
+    makes of a file; frames are read through frame_grid, one at a time.
+    """
 
     tokens: np.ndarray
     grid_h: int
     grid_w: int
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.float64)
+        if not isinstance(self.tokens, np.memmap):
+            self.tokens = np.asarray(self.tokens, dtype=np.float64)
         if self.tokens.ndim != 3:
             raise ValueError("tokens must have shape (frames, tokens_per_frame, dim)")
         if self.grid_h < 1 or self.grid_w < 1:
@@ -101,7 +108,7 @@ class FrameEmbeddings:
             )
         if self.tokens.shape[0] < 1 or self.tokens.shape[2] < 1:
             raise ValueError("need at least one frame and one embedding dim")
-        if not np.all(np.isfinite(self.tokens)):
+        if not all(np.isfinite(self.frame_grid(i)).all() for i in range(self.num_frames)):
             raise ValueError("non-finite embedding values")
 
     @property
@@ -117,8 +124,8 @@ class FrameEmbeddings:
         return self.tokens.shape[2]
 
     def frame_grid(self, i: int) -> np.ndarray:
-        """Frame i as an (h, w, d) grid."""
-        return self.tokens[i].reshape(self.grid_h, self.grid_w, self.dim)
+        """Frame i as an (h, w, d) float64 grid."""
+        return np.asarray(self.tokens[i], dtype=np.float64).reshape(self.grid_h, self.grid_w, -1)
 
 
 @dataclass
@@ -172,7 +179,7 @@ def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> 
             "<4sBB4I", MAGIC, VERSION, REC_FRAMES,
             obj.num_frames, obj.grid_h, obj.grid_w, obj.dim,
         )
-        payload = (obj.tokens.astype("<f4"),)
+        payload = (obj.frame_grid(i).astype("<f4") for i in range(obj.num_frames))
     elif isinstance(obj, TextEmbedding):
         header = struct.pack("<4sBB2I", MAGIC, VERSION, REC_TEXT, obj.dim, obj.num_tokens)
         payload = (obj.vector.astype("<f4"), obj.token_ids.astype("<u4"))
@@ -188,7 +195,8 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
     """Parse an MEBF file into the record it holds.
 
     The header is checked against the file size before any payload byte is
-    read, and every malformed file raises an MebfError.
+    read, and every malformed file raises an MebfError. A frame record's tokens
+    map the payload copy-on-write: writes to them never reach the file.
     """
     size = Path(path).stat().st_size
     with open(path, "rb") as fh:
@@ -210,7 +218,9 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         if min(dims) < 1:
             raise MebfError(f"{path}: zero dimension in header")
         count = math.prod(dims) if rec_type == REC_FRAMES else sum(dims)
-        if count > MAX_ELEMENTS:
+        held, budget = ((math.prod(dims[1:]), MAX_FRAME_ELEMENTS) if rec_type == REC_FRAMES
+                        else (count, MAX_TEXT_ELEMENTS))
+        if count > MAX_ELEMENTS or held > budget:
             raise DimensionOverflowError(f"{path}: header claims {count} elements")
         payload = size - fh.tell()
         if payload < 4 * count:
@@ -222,11 +232,8 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         try:  # values the header cannot vouch for, such as non-finite or zero-norm ones
             if rec_type == REC_FRAMES:
                 t, h, w, d = dims
-                tokens = np.empty(count)  # filled chunk by chunk; float32 -> float64 is exact
-                for start in range(0, count, _READ_CHUNK):
-                    stop = min(start + _READ_CHUNK, count)
-                    tokens[start:stop] = np.fromfile(fh, "<f4", stop - start)
-                return FrameEmbeddings(tokens=tokens.reshape(t, h * w, d), grid_h=h, grid_w=w)
+                tokens = np.memmap(fh, "<f4", mode="c", offset=fh.tell(), shape=(t, h * w, d))
+                return FrameEmbeddings(tokens=tokens, grid_h=h, grid_w=w)
             vector = np.fromfile(fh, "<f4", dims[0]).astype(np.float64)
             ids = np.fromfile(fh, "<u4", dims[1]).astype(np.int64)
             return TextEmbedding(vector=vector, token_ids=ids)

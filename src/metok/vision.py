@@ -71,13 +71,24 @@ class EventPartition:
         return [range(s, e) for s, e in zip(starts, ends)]
 
 
-def _frame_vectors(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
-    """Per-frame vector used for similarity: token mean (default) or flat concat."""
+def _frame_means(v: FrameEmbeddings) -> np.ndarray:
+    """(T, d) token mean of each frame, one frame converted at a time."""
+    return np.array([v.frame_grid(i).reshape(-1, v.dim).mean(axis=0) for i in range(v.num_frames)])
+
+
+def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """Frame means (mean mode) and adjacent cosines of token means or flat frames, two at a time."""
     if frame_reduce == "mean":
-        return v.tokens.mean(axis=1)
-    if frame_reduce == "flatten":
-        return v.tokens.reshape(v.num_frames, -1)
-    raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
+        means = _frame_means(v)
+        return means, np.array([cosine(means[i], means[i + 1]) for i in range(len(means) - 1)])
+    if frame_reduce != "flatten":
+        raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
+    sims, prev = [], v.frame_grid(0).reshape(-1)
+    for i in range(1, v.num_frames):
+        cur = v.frame_grid(i).reshape(-1)
+        sims.append(cosine(prev, cur))
+        prev = cur
+    return None, np.array(sims)
 
 
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:
@@ -89,11 +100,9 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
     t = v.num_frames
     if not 1 <= k <= t:
         raise ConfigError(f"need 1 <= k <= {t}, got k={k}")
-    vecs = _frame_vectors(v, frame_reduce)
-    sims = np.array([cosine(vecs[i], vecs[i + 1]) for i in range(t - 1)])
+    means, sims = _adjacent_sims(v, frame_reduce)
     cuts = top_k_stable(-sims, k - 1)
-    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts),
-                          frame_means=vecs if frame_reduce == "mean" else None)
+    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts), frame_means=means)
 
 
 def score_relevance(
@@ -111,7 +120,7 @@ def score_relevance(
         raise ValueError(f"unknown event_score mode {event_score!r}")
     if v.dim != text.dim:
         raise ValueError(f"embedding dims differ: frames {v.dim}, text {text.dim}")
-    means = v.tokens.mean(axis=1) if partition.frame_means is None else partition.frame_means
+    means = _frame_means(v) if partition.frame_means is None else partition.frame_means
     partition.frame_scores = np.array([cosine(m, text.vector) for m in means])
     agg = np.mean if event_score == "mean" else np.max
     partition.event_scores = np.array(

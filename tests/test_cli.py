@@ -2,9 +2,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from metok import data_io, vision
+from metok import cli, data_io, vision
 from metok.cli import main
 from tests.test_acceptance import GOLDEN_CRITERION_8, criterion_8_io
 
@@ -381,3 +382,40 @@ def test_sha256_reads_in_chunks(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("extra", [[], ["--analytic"], ["--frame-reduce", "flatten"]],
+                         ids=["toy", "analytic", "flatten"])
+def test_zero_norm_middle_frame_in_the_file(data_dir, config_path, tmp_path, extra):
+    video = data_dir / "video.mebf"
+    frame = 4 * 16 * 16  # 4x4 grid of dim-16 tokens, float32
+    data = bytearray(video.read_bytes())
+    data[22 + 6 * frame : 22 + 7 * frame] = bytes(frame)
+    video.write_bytes(bytes(data))
+    assert run_sim(data_dir, config_path, tmp_path / "o", extra) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--analytic"]], ids=["toy", "analytic"])
+def test_mapped_and_in_memory_inputs_give_identical_artifacts(tmp_path, monkeypatch, extra):
+    io_args = criterion_8_io(tmp_path)
+    assert main(["simulate", *io_args, "--out", str(tmp_path / "mapped"), "--steps", "5",
+                 *extra]) == 0
+
+    def read_into_memory(path):
+        record = data_io.read_embeddings(path)
+        if isinstance(record, data_io.FrameEmbeddings):
+            assert isinstance(record.tokens, np.memmap)
+            record = data_io.FrameEmbeddings(tokens=np.array(record.tokens, dtype=np.float64),
+                                             grid_h=record.grid_h, grid_w=record.grid_w)
+            assert not isinstance(record.tokens, np.memmap)
+        return record
+
+    monkeypatch.setattr(cli, "read_embeddings", read_into_memory)
+    assert main(["simulate", *io_args, "--out", str(tmp_path / "memory"), "--steps", "5",
+                 *extra]) == 0
+    for name in ("report.json", "trace.json"):
+        assert (tmp_path / "mapped" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
+    mapped, memory = (json.loads((tmp_path / d / "manifest.json").read_text())
+                      for d in ("mapped", "memory"))
+    assert mapped["artifacts"] == memory["artifacts"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metok import data_io
 from metok.data_io import (
     BadMagicError,
     ConfigError,
@@ -22,6 +23,8 @@ from metok.data_io import (
     write_embeddings,
 )
 from metok.kernels import Rng64, cosine
+from metok.pipeline import compress_stats
+from metok.vision import plan_vision_stage
 
 
 def frame_means(emb):
@@ -154,6 +157,90 @@ class TestMebfErrors:
         p.write_bytes(struct.pack("<4sBB2I", b"MEBF", 1, 2, 3, 1) + bytes(12) + bytes(4))
         with pytest.raises(MebfError):
             read_embeddings(p)
+
+    def test_nan_in_last_frame(self, tmp_path):
+        emb, _ = gen_synthetic(6, 2, 2, 3, seed=0)
+        p = tmp_path / "v.mebf"
+        write_embeddings(emb, p)
+        data = bytearray(p.read_bytes())
+        last = len(data) - 4 * 2 * 2 * 3
+        data[last : last + 4] = struct.pack("<f", np.nan)
+        p.write_bytes(bytes(data))
+        with pytest.raises(MebfError, match="non-finite"):
+            read_embeddings(p)
+
+    @pytest.mark.parametrize("rec_type, dims", [
+        (2, ((1 << 20), 1)),             # text: d + M one over its budget
+        (1, (1, 1, 1, (1 << 24) + 1)),   # frames: h*w*d one over its budget
+    ], ids=["text", "frame"])
+    def test_header_over_budget_is_refused_unread(self, tmp_path, rec_type, dims):
+        assert (data_io.MAX_TEXT_ELEMENTS, data_io.MAX_FRAME_ELEMENTS) == (1 << 20, 1 << 24)
+        p = tmp_path / "big.mebf"
+        header = struct.pack(f"<4sBB{len(dims)}I", b"MEBF", 1, rec_type, *dims)
+        with open(p, "wb") as fh:  # sparse: the exact size the header claims, no disk blocks
+            fh.write(header)
+            fh.truncate(len(header) + 4 * (sum(dims) if rec_type == 2 else int(np.prod(dims))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflowError):
+                read_embeddings(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestStreamingMemory:
+    """A frame record is a float32 map of the file, converted to float64 a frame at a time."""
+
+    def test_read_maps_the_file_copy_on_write(self, tmp_path):
+        emb, _ = gen_synthetic(3, 2, 2, 4, seed=2)
+        p = tmp_path / "v.mebf"
+        write_embeddings(emb, p)
+        before = p.read_bytes()
+        back = read_embeddings(p)
+        assert isinstance(back.tokens, np.memmap) and back.tokens.dtype == np.float32
+        assert back.frame_grid(1).dtype == np.float64
+        back.tokens[1] = 0.0
+        assert not back.frame_grid(1).any()
+        assert p.read_bytes() == before
+
+    def test_write_peaks_at_one_frame(self, tmp_path):
+        emb, _ = gen_synthetic(16, 32, 32, 64, seed=3)
+        frame_bytes = 32 * 32 * 64 * 8
+        p = tmp_path / "v.mebf"
+        tracemalloc.start()
+        try:
+            write_embeddings(emb, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= frame_bytes + (1 << 20)
+        assert p.read_bytes()[22:] == emb.tokens.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("frame_reduce", ["mean", "flatten"])
+    def test_read_plan_and_compress_peak_at_two_frames(self, tmp_path, frame_reduce):
+        # ~12 MiB of float32; a float64 copy of the whole video would be ~24 MiB
+        t, h, w, d = 48, 16, 16, 250
+        video, text_path = tmp_path / "v.mebf", tmp_path / "t.mebf"
+        rng = np.random.default_rng(0)
+        with open(video, "wb") as fh:
+            fh.write(struct.pack("<4sBB4I", b"MEBF", 1, 1, t, h, w, d))
+            for _ in range(t):
+                (1.0 + rng.standard_normal((h * w, d))).astype("<f4").tofile(fh)
+        write_embeddings(TextEmbedding(vector=np.ones(d), token_ids=np.arange(4)), text_path)
+        cfg = RunConfig(k=6, frame_reduce=frame_reduce)
+        frame_bytes = h * w * d * 8
+        tracemalloc.start()
+        try:
+            frames, text = read_embeddings(video), read_embeddings(text_path)
+            plan = plan_vision_stage(frames, text, cfg)
+            stats = compress_stats(plan, frames.num_frames * frames.tokens_per_frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * frame_bytes + (1 << 20)
+        assert stats["num_events"] == 6
 
 
 def _valid_files(tmp_path):
