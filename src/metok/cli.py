@@ -118,6 +118,8 @@ def _on_inputs(command: str, body):
     out) writes the artifacts and returns their paths; the manifest comes last.
     """
     def handler(args, argv) -> int:
+        if getattr(args, "steps", 0) < 0:
+            raise UsageError(f"--steps must not be negative, got {args.steps}")
         cfg = load_config(Path(args.config))
         overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
                      if getattr(args, name) is not None}
@@ -273,7 +275,7 @@ def _add_io_args(p: _Parser, command: str, body, with_steps: bool = True) -> Non
     p.add_argument("--baseline-stride", dest="baseline_stride", type=int, default=None,
                    help="uniform pooling stride of the no-compression baseline")
     if with_steps:
-        p.add_argument("--steps", type=int, default=8, help="tokens to decode")
+        p.add_argument("--steps", type=int, default=8, help="tokens to decode (0: prefill only)")
 
 
 def build_parser() -> _Parser:

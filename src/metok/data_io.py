@@ -108,7 +108,7 @@ class FrameEmbeddings:
             )
         if self.tokens.shape[0] < 1 or self.tokens.shape[2] < 1:
             raise ValueError("need at least one frame and one embedding dim")
-        if not all(np.isfinite(self.frame_grid(i)).all() for i in range(self.num_frames)):
+        if not all(np.isfinite(self.tokens[i]).all() for i in range(self.num_frames)):
             raise ValueError("non-finite embedding values")
 
     @property

@@ -102,25 +102,20 @@ def retention_ratio(layer: int, group: str, sched: PruneSchedule) -> float:
     return 0.0
 
 
-def token_importance(
-    attn: np.ndarray,
-    text_positions: np.ndarray,
-    visual_positions: np.ndarray,
-) -> np.ndarray:
+def token_importance(attn: np.ndarray, visual_positions: np.ndarray) -> np.ndarray:
     """Importance of each visual token: attention it receives from the text queries.
 
-    attn is (heads, queries, keys) with post-softmax rows; the score of visual
-    token j is the mean over heads and all text query rows of attn[., q, j].
+    attn is the (heads, text_queries, keys) block of post-softmax text rows; the
+    score of visual token j is the mean over heads and text rows of attn[., ., j].
+    Gathering each token's values heads fastest, then text rows, fixes the sum's bits.
     """
     attn = np.asarray(attn, dtype=np.float64)
     if attn.ndim != 3:
-        raise ValueError("attn must be (heads, queries, keys)")
-    text_positions = np.asarray(text_positions, dtype=np.int64)
-    visual_positions = np.asarray(visual_positions, dtype=np.int64)
-    if text_positions.size == 0:
-        raise ValueError("no text query positions")
-    rows = attn[:, text_positions, :][:, :, visual_positions]
-    return rows.mean(axis=(0, 1))
+        raise ValueError("attn must be (heads, text_queries, keys)")
+    if attn.shape[1] == 0:
+        raise ValueError("no text query rows")
+    cols = np.take(attn.transpose(2, 1, 0), np.asarray(visual_positions, dtype=np.int64), axis=0)
+    return cols.mean(axis=(1, 2))
 
 
 def select_at_boundary(

@@ -297,14 +297,13 @@ def _prune_boundary(
     """
     n = ids.shape[0]
     attn = _causal_probs(q, k, n - text_len, n, _upper_tile(text_len))
-    text_rows = np.arange(text_len)
     keep = np.ones(n, dtype=bool)
     for group, flag in (("key", True), ("non_key", False)):
         grp_rows = np.flatnonzero(is_key == flag)
         if grp_rows.size == 0 and sched.origin(group) == 0:
             continue
         ratio = retention_ratio(layer, group, sched)
-        importance = token_importance(attn, text_rows, grp_rows)
+        importance = token_importance(attn, grp_rows)
         kept_ids = select_at_boundary(importance, ids[grp_rows], sched.origin(group), ratio)
         keep[grp_rows] = np.isin(ids[grp_rows], kept_ids)
     return keep

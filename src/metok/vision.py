@@ -7,8 +7,8 @@ Non-key events get their strides widened by 1/alpha so they are downsampled
 harder than key events. Each pooled token keeps only its event's key flag, the
 group tag the prefill schedule reads. plan_vision_stage fixes each frame's
 stride and group flag and counts tokens by ceil(h/s) * ceil(w/s), pooling none;
-run_vision_stage materialises the plan through adaptive_pool, or uniform_stream
-for the bypass (the disabled stage), which both pool through _pool_frames.
+adaptive_pool is the one materialiser: run_vision_stage pools its plan through
+it, or through its alias uniform_stream for the bypass (the disabled stage).
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ class TokenStream:
 
     tokens: np.ndarray                      # (n, d)
     key_event: np.ndarray                   # (n,) bool
-    frame_strides: np.ndarray               # (T,) pooling stride of each frame
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -200,20 +199,9 @@ class VisionPlan:
         return n_key, int(counts.sum()) - n_key
 
 
-def _pool_frames(v: FrameEmbeddings, plan: VisionPlan) -> TokenStream:
-    """Pool frame i at the plan's stride; its tokens take the plan's group flag."""
-    chunks = [avg_pool_2d(v.frame_grid(i), int(plan.frame_strides[i])).reshape(-1, v.dim)
-              for i in range(v.num_frames)]
-    return TokenStream(
-        tokens=np.concatenate(chunks, axis=0),
-        key_event=np.repeat(plan.key_of_frame, [c.shape[0] for c in chunks]),
-        frame_strides=plan.frame_strides,
-    )
-
-
 def _stride_plan(v: FrameEmbeddings, partition: EventPartition, s1: int, s2: int,
                  alpha: float) -> VisionPlan:
-    """Each frame's stride and group flag under the stride rule of adaptive_pool."""
+    """Each frame's stride and group flag: (s1, s2) in key events, widened by 1/alpha elsewhere."""
     if partition.key_event is None or partition.key_frame is None:
         raise ValueError("key flags not populated; run select_keys first")
     if s1 > s2:
@@ -232,22 +220,17 @@ def _bypass_plan(v: FrameEmbeddings, stride: int) -> VisionPlan:
     return _stride_plan(v, partition, stride, stride, 1.0)
 
 
-def adaptive_pool(v: FrameEmbeddings, partition: EventPartition, s1: int, s2: int,
-                  alpha: float) -> TokenStream:
-    """Pool every frame at the stride its key/non-key event and frame status selects.
+def adaptive_pool(v: FrameEmbeddings, plan: VisionPlan) -> TokenStream:
+    """Pool frame i at the plan's stride, in temporal order; its tokens take its group flag."""
+    chunks = [avg_pool_2d(v.frame_grid(i), int(plan.frame_strides[i])).reshape(-1, v.dim)
+              for i in range(v.num_frames)]
+    return TokenStream(
+        tokens=np.concatenate(chunks, axis=0),
+        key_event=np.repeat(plan.key_of_frame, [c.shape[0] for c in chunks]),
+    )
 
-    Key events use (s1, s2) for key/non-key frames; non-key events use the same
-    pair widened by 1/alpha. Frames are pooled independently and emitted in order.
-    """
-    return _pool_frames(v, _stride_plan(v, partition, s1, s2, alpha))
 
-
-def uniform_stream(v: FrameEmbeddings, stride: int = 1) -> TokenStream:
-    """Bypass path: one event, every frame key, uniform pooling at the given stride.
-
-    stride 1 (the default) emits the raw tokens unchanged.
-    """
-    return _pool_frames(v, _bypass_plan(v, stride))
+uniform_stream = adaptive_pool  # the bypass's own name, so a wrapper can tell the pools apart
 
 
 def plan_vision_stage(v: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig) -> VisionPlan:
@@ -268,6 +251,5 @@ def run_vision_stage(v: FrameEmbeddings, text: TextEmbedding,
     (raw tokens when that stride is 1) under a single all-key event.
     """
     plan = plan_vision_stage(v, text, cfg)
-    if cfg.stage_enabled("vision"):
-        return adaptive_pool(v, plan.partition, cfg.s1, cfg.s2, cfg.alpha), plan.partition
-    return uniform_stream(v, cfg.baseline_stride), plan.partition
+    pool = adaptive_pool if cfg.stage_enabled("vision") else uniform_stream
+    return pool(v, plan), plan.partition

@@ -24,6 +24,7 @@ from metok.toy_llm import (
     prefill,
 )
 from metok.vision import (
+    _stride_plan,
     adaptive_pool,
     segment_events,
     select_keys,
@@ -111,7 +112,7 @@ def test_criterion_3_token_count_closed_form():
             num_segments=1 + rng.next_raw() % t,
         )
         part = select_keys(score_relevance(emb, text, segment_events(emb, k)), alpha, beta)
-        stream = adaptive_pool(emb, part, s1, s2, alpha)
+        stream = adaptive_pool(emb, _stride_plan(emb, part, s1, s2, alpha))
         # independent oracle: rebuild the four-way stride rule from the flags,
         # then apply the closed form
         wide1 = max(1, int(math.floor(s1 / alpha + 0.5)))

@@ -34,12 +34,17 @@ def test_tracer_hooks_resolve_and_record_spans():
     tracer.install()  # resolves every TARGETS attribute
     try:
         with tracer.op(0):
-            pipeline.run_simulation(frames, text, cfg, steps=3)
+            result = pipeline.run_simulation(frames, text, cfg, steps=3)
     finally:
         tracer.uninstall()
     assert [getattr(module, attr) for module, attr, _, _ in tracing.TARGETS] == originals
     names = {span[0] for span in tracer.spans}
     assert {"vision.pool", "toy_llm.prefill", "toy_llm.kv_policy", "toy_llm.decode"} <= names
+    # one pool per run; only the compressed one counts toward vision.tokens_out
+    pools = [span[5] for span in tracer.spans if span[0] == "vision.pool"]
+    assert len(pools) == 2
+    assert [attrs for attrs in pools if attrs is not None] == [
+        {"offered": frames.num_frames * frames.tokens_per_frame, "out": len(result.stream)}]
     metrics, _ = tracing.summarize(tracer, ops=1)
     assert metrics["toy_llm.kv_entries"] > 0
     assert metrics["schedule.kept_frac.l1"] > 0

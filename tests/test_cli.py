@@ -324,8 +324,10 @@ class TestExitCodes:
     (["diag", "attention-ratio"], ["--steps", "1"], False, 1),
     # the second point's k exceeds the fixture's 12 frames, after the first point ran
     (["sweep"], ["--param", "k=1,13", "--analytic"], False, 2),
+    (["simulate"], ["--steps", "-1"], False, 1),
+    (["sweep"], ["--steps", "-1", "--param", "r=0.3", "--analytic"], False, 1),
 ], ids=["compress-bad-config", "simulate-bad-config", "diag-bad-config", "diag-one-step",
-        "sweep-k-above-frames"])
+        "sweep-k-above-frames", "simulate-negative-steps", "sweep-negative-steps"])
 def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path,
                                           command, extra, bad_config, code):
     if bad_config:

@@ -88,24 +88,38 @@ class TestRetentionRatio:
 class TestTokenImportance:
     def test_single_head_single_query(self):
         attn = np.array([[[0.7, 0.3]]])
-        scores = token_importance(attn, np.array([0]), np.array([0, 1]))
+        scores = token_importance(attn, np.array([0, 1]))
         assert np.allclose(scores, [0.7, 0.3])
 
     def test_mean_over_queries(self):
         attn = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        scores = token_importance(attn, np.array([0, 1]), np.array([0, 1]))
+        scores = token_importance(attn, np.array([0, 1]))
         assert np.allclose(scores, [0.5, 0.5])
 
     def test_identical_heads_idempotent(self):
         row = np.array([[0.6, 0.4]])
         attn = np.stack([row, row])
-        one = token_importance(attn[:1], np.array([0]), np.array([0, 1]))
-        two = token_importance(attn, np.array([0]), np.array([0, 1]))
+        one = token_importance(attn[:1, [0]], np.array([0, 1]))
+        two = token_importance(attn[:, [0]], np.array([0, 1]))
         assert np.array_equal(one, two)
+
+    def test_bits_match_gathering_text_rows_then_tokens(self):
+        # the score's summation order: a slice of text rows, then the token columns
+        rng = np.random.default_rng(5)
+        for heads, rows, keys in [(1, 1, 1), (4, 8, 300), (3, 17, 1000), (12, 40, 64)]:
+            attn = rng.random((heads, rows, keys))
+            attn /= attn.sum(axis=-1, keepdims=True)
+            visual = np.flatnonzero(rng.random(keys) < 0.5)
+            want = attn[:, np.arange(rows), :][:, :, visual].mean(axis=(0, 1))
+            assert np.array_equal(token_importance(attn, visual), want)
 
     def test_empty_text_positions(self):
         with pytest.raises(ValueError):
-            token_importance(np.ones((1, 1, 2)), np.array([], dtype=int), np.array([0]))
+            token_importance(np.ones((1, 0, 2)), np.array([0]))
+
+    def test_block_must_be_3d(self):
+        with pytest.raises(ValueError):
+            token_importance(np.ones((1, 2)), np.array([0]))
 
 
 class TestSelectAtBoundary:

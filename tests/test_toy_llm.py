@@ -42,7 +42,6 @@ def make_stream(n_key, n_nonkey, dim, seed=0):
     return TokenStream(
         tokens=rng.next_unit_array(n * dim).reshape(n, dim),
         key_event=np.repeat([True, False], [n_key, n_nonkey]),
-        frame_strides=np.ones(n, dtype=np.int64),
     )
 
 
@@ -84,7 +83,7 @@ def dense_prefill(model, inp, sched):
                 grp = rows[~is_text][is_key == flag]
                 if grp.size == 0 and sched.origin(group) == 0:
                     continue
-                importance = token_importance(attn, rows[is_text], grp)
+                importance = token_importance(attn[:, is_text], grp)
                 kept = select_at_boundary(importance, ids[grp], sched.origin(group),
                                           retention_ratio(layer, group, sched))
                 keep[grp] = np.isin(ids[grp], kept)

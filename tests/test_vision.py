@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metok import vision
 from metok.data_io import (
     EVENT_SCORES,
     FRAME_REDUCES,
@@ -16,8 +17,10 @@ from metok.data_io import (
     gen_synthetic,
 )
 from metok.kernels import Rng64, ZeroNormError, avg_pool_2d, ceil_scaled
+from metok.pipeline import run_simulation
 from metok.vision import (
     EventPartition,
+    _stride_plan,
     adaptive_pool,
     plan_vision_stage,
     run_vision_stage,
@@ -216,9 +219,10 @@ class TestAdaptivePool:
         v = FrameEmbeddings(
             tokens=rng.next_unit_array(8 * 16 * 4).reshape(8, 16, 4), grid_h=4, grid_w=4
         )
-        stream = adaptive_pool(v, hand_partition_two_events(), s1=2, s2=4, alpha=0.5)
+        plan = _stride_plan(v, hand_partition_two_events(), s1=2, s2=4, alpha=0.5)
+        stream = adaptive_pool(v, plan)
         assert len(stream) == 14
-        assert stream.frame_strides.tolist() == [2, 2, 4, 4, 4, 4, 8, 8]
+        assert plan.frame_strides.tolist() == [2, 2, 4, 4, 4, 4, 8, 8]
 
     def test_identity_configuration(self):
         rng = Rng64(4)
@@ -228,7 +232,7 @@ class TestAdaptivePool:
         part = EventPartition(num_frames=3, boundaries=())
         part.key_event = np.array([True])
         part.key_frame = np.ones(3, dtype=bool)
-        stream = adaptive_pool(v, part, s1=1, s2=1, alpha=1.0)
+        stream = adaptive_pool(v, _stride_plan(v, part, s1=1, s2=1, alpha=1.0))
         assert len(stream) == 12
         assert np.array_equal(stream.tokens, v.tokens.reshape(12, 2))
 
@@ -237,10 +241,11 @@ class TestAdaptivePool:
         v = FrameEmbeddings(
             tokens=rng.next_unit_array(8 * 16 * 4).reshape(8, 16, 4), grid_h=4, grid_w=4
         )
-        stream = adaptive_pool(v, hand_partition_two_events(), s1=2, s2=4, alpha=0.5)
+        plan = _stride_plan(v, hand_partition_two_events(), s1=2, s2=4, alpha=0.5)
+        stream = adaptive_pool(v, plan)
         # each frame's pooled block is one contiguous run, frames in temporal order
         blocks = [avg_pool_2d(v.frame_grid(i), s).reshape(-1, 4)
-                  for i, s in enumerate(stream.frame_strides)]
+                  for i, s in enumerate(plan.frame_strides)]
         assert np.array_equal(stream.tokens, np.concatenate(blocks))
         # key-event frames 0-3 pool to 4+4+1+1 tokens, non-key frames 4-7 to 1 each
         assert stream.key_event.tolist() == [True] * 10 + [False] * 4
@@ -260,8 +265,9 @@ class TestAdaptivePool:
             part = select_keys(
                 score_relevance(emb, text, segment_events(emb, k)), alpha, beta
             )
-            stream = adaptive_pool(emb, part, s1, s2, alpha)
-            assert len(stream) == expected_token_count(h, w, stream.frame_strides)
+            plan = _stride_plan(emb, part, s1, s2, alpha)
+            stream = adaptive_pool(emb, plan)
+            assert len(stream) == expected_token_count(h, w, plan.frame_strides)
 
 
 class TestRunVisionStage:
@@ -316,15 +322,18 @@ class TestRunVisionStage:
         n_key, n_nonkey = stream.group_counts()
         assert n_key + n_nonkey == len(stream)
         key_frames = [i for ev, flag in zip(part.events, part.key_event) if flag for i in ev]
-        assert n_key == expected_token_count(4, 4, stream.frame_strides[key_frames])
+        strides = plan_vision_stage(emb, text, cfg).frame_strides
+        assert n_key == expected_token_count(4, 4, strides[key_frames])
 
 
 class TestUniformStream:
     def test_stride_pooling(self):
-        emb, _ = gen_synthetic(3, 4, 4, 8, seed=5)
-        stream = uniform_stream(emb, 2)
+        emb, text = gen_synthetic(3, 4, 4, 8, seed=5)
+        cfg = RunConfig(disable_stages=("vision",), baseline_stride=2)
+        plan = plan_vision_stage(emb, text, cfg)
+        stream = uniform_stream(emb, plan)
         assert len(stream) == 3 * 4
-        assert stream.frame_strides.tolist() == [2, 2, 2]
+        assert plan.frame_strides.tolist() == [2, 2, 2]
 
 
 STAGE_SUBSETS = [tuple(itertools.compress(STAGES, mask))
@@ -352,11 +361,21 @@ def vision_runs(draw):
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(run=vision_runs())
 def test_plan_agrees_with_materialised_stream(run):
-    """The count-only plan and the pooled stream agree on every count and stride."""
+    """The count-only plan and the pooled stream agree on every count."""
     frames, text, cfg = run
     plan = plan_vision_stage(frames, text, cfg)
     stream, partition = run_vision_stage(frames, text, cfg)
     assert len(plan) == len(stream)
     assert plan.group_counts() == stream.group_counts()
-    assert plan.frame_strides.tolist() == stream.frame_strides.tolist()
     assert plan.partition.boundaries == partition.boundaries
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["toy", "analytic"])
+def test_one_stride_plan_per_run(monkeypatch, analytic):
+    """A simulation plans each of its two runs once; pooling reuses the plan."""
+    calls = []
+    monkeypatch.setattr(vision, "_stride_plan", lambda *a: calls.append(1) or _stride_plan(*a))
+    frames, text = gen_synthetic(6, 4, 4, 8, seed=4, num_segments=2)
+    cfg = RunConfig(k=2, layers=4, heads=2, d_model=8, layer_boundaries=(1, 2, 3))
+    run_simulation(frames, text, cfg, steps=2, analytic=analytic)
+    assert len(calls) == 2
