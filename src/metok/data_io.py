@@ -43,6 +43,7 @@ __all__ = [
     "gen_synthetic",
     "load_config",
     "read_embeddings",
+    "record_elements",
     "write_embeddings",
 ]
 
@@ -51,9 +52,9 @@ VERSION = 1
 REC_FRAMES = 1
 REC_TEXT = 2
 
-# refuse headers whose element count could not be a real desk-scale tensor
+# element budgets of a record, read or generated: T*h*w*d in all, and what the reader
+# holds at once, a text record's d + M or one frame's h*w*d (see record_elements)
 MAX_ELEMENTS = 1 << 31
-# the most elements the reader holds at once: a text record's d + M, one frame's h*w*d
 MAX_TEXT_ELEMENTS = 1 << 20
 MAX_FRAME_ELEMENTS = 1 << 24
 
@@ -191,6 +192,16 @@ def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> 
             fh.write(array)
 
 
+def record_elements(rec_type: int, dims: tuple[int, ...], name: str) -> int:
+    """Element count of a record with these header dims; DimensionOverflowError past a budget."""
+    count = math.prod(dims) if rec_type == REC_FRAMES else sum(dims)
+    held, budget = ((math.prod(dims[1:]), MAX_FRAME_ELEMENTS) if rec_type == REC_FRAMES
+                    else (count, MAX_TEXT_ELEMENTS))
+    if count > MAX_ELEMENTS or held > budget:
+        raise DimensionOverflowError(f"{name} claims {count} elements, over the MEBF budget")
+    return count
+
+
 def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
     """Parse an MEBF file into the record it holds.
 
@@ -217,11 +228,7 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         dims = struct.unpack(f"<{n_dims}I", raw)
         if min(dims) < 1:
             raise MebfError(f"{path}: zero dimension in header")
-        count = math.prod(dims) if rec_type == REC_FRAMES else sum(dims)
-        held, budget = ((math.prod(dims[1:]), MAX_FRAME_ELEMENTS) if rec_type == REC_FRAMES
-                        else (count, MAX_TEXT_ELEMENTS))
-        if count > MAX_ELEMENTS or held > budget:
-            raise DimensionOverflowError(f"{path}: header claims {count} elements")
+        count = record_elements(rec_type, dims, f"{path}: header")
         payload = size - fh.tell()
         if payload < 4 * count:
             raise TruncatedPayloadError(
@@ -277,6 +284,8 @@ def gen_synthetic(
         raise ValueError(f"text_segment {text_segment} out of range")
     if text_len < 1:
         raise ValueError("need at least one prompt token")
+    record_elements(REC_FRAMES, (num_frames, grid_h, grid_w, dim), "video")
+    record_elements(REC_TEXT, (dim, text_len), "prompt")
 
     rng = Rng64(seed)
     n_tok = grid_h * grid_w

@@ -12,7 +12,7 @@ wall-clock on its trace; the report leaves it out.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,16 +48,9 @@ class SimulationResult:
     baseline_decode_output: DecodeOutput | None = None
 
     def trace_dict(self) -> dict:
-        def one(t: InferenceTrace) -> dict:
-            return {
-                "layer_lengths": t.layer_lengths,
-                "cached_positions": t.cached_positions,
-                "decode_steps": t.decode_steps,
-                "d_model": t.d_model,
-                "mlp_ratio": t.mlp_ratio,
-            }
-
-        out = {"baseline": one(self.baseline), "compressed": one(self.compressed)}
+        """Both runs' traces, wall-clock left out, plus each decode's tokens and logits digest."""
+        out = {name: {k: v for k, v in asdict(t).items() if k != "prefill_ms"}
+               for name, t in (("baseline", self.baseline), ("compressed", self.compressed))}
         if self.decode_output is not None:
             for name, dec in (("decode", self.decode_output),
                               ("baseline_decode", self.baseline_decode_output)):

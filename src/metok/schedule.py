@@ -126,10 +126,10 @@ def select_at_boundary(
 ) -> np.ndarray:
     """Keep the top ceil(ratio*origin) of the surviving tokens, by score.
 
-    scores align with survivor_ids (the group's currently surviving original
-    positions, ascending). Ties break toward the earlier position; the result
-    is ascending. Selection at a later boundary only ever sees prior survivors,
-    which is what makes keep sets nest.
+    scores align with survivor_ids, any ascending labels of the group's
+    surviving tokens (prefill passes their row indices). Ties break toward the
+    earlier array index; the result is ascending. Selection at a later boundary
+    only ever sees prior survivors, which is what makes keep sets nest.
     """
     scores = np.asarray(scores, dtype=np.float64)
     survivor_ids = np.asarray(survivor_ids, dtype=np.int64)

@@ -1,10 +1,10 @@
 """A small deterministic decoder-only transformer with an explicit KV cache.
 
-Pre-norm residual blocks with no biases, absolute sinusoidal positions keyed to
-ORIGINAL position ids (so pruned sequences keep their temporal geometry), ReLU
-MLPs, greedy argmax decoding. All weights come from one seeded SplitMix64
-stream, so identical configs give bitwise-identical models, prefills, and
-decodes regardless of thread count.
+Pre-norm residual blocks with no biases, absolute sinusoidal positions added
+to the input rows before any pruning (so survivors keep their temporal
+geometry and no position ids are tracked), ReLU MLPs, greedy argmax decoding.
+All weights come from one seeded SplitMix64 stream, so identical configs give
+bitwise-identical models, prefills, and decodes regardless of thread count.
 
 Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
@@ -118,9 +118,9 @@ def visual_projection(seed: int, d_in: int, d_model: int) -> np.ndarray:
     return rng.next_unit_array(d_in * d_model).reshape(d_in, d_model) / math.sqrt(d_in)
 
 
-def sinusoidal_positions(position_ids: np.ndarray, d_model: int) -> np.ndarray:
-    """Absolute sinusoidal encoding rows for the given position ids."""
-    pos = np.asarray(position_ids, dtype=np.float64)[:, None]
+def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
+    """Absolute sinusoidal encoding rows for the given positions."""
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
     half = np.arange((d_model + 1) // 2, dtype=np.float64)
     freq = np.power(10000.0, -2.0 * half / d_model)[None, :]
     angles = pos * freq
@@ -168,7 +168,7 @@ def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbeddin
 
 @dataclass
 class KvCache:
-    """Per-layer cached keys/values of the surviving prompt positions.
+    """Per-layer cached keys/values of the surviving prompt rows, in prompt order.
 
     Text is the last text_len entries of every layer. Visual entries of
     layers from mask_from upward stay in place but attract -inf attention
@@ -181,7 +181,6 @@ class KvCache:
     mask_from: int
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
     v: list[np.ndarray] = field(default_factory=list)
-    position_ids: list[np.ndarray] = field(default_factory=list)
 
     @property
     def num_layers(self) -> int:
@@ -220,15 +219,6 @@ def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.nd
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     return s
-
-
-def _causal_probs(
-    q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray
-) -> np.ndarray:
-    """_causal_exp's block, normalised: post-softmax attention of query rows [start:stop]."""
-    e = _causal_exp(q, k, start, stop, tile)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
 
 
 def _upper_tile(size: int) -> np.ndarray:
@@ -285,7 +275,6 @@ def _prune_boundary(
     layer: int,
     q: np.ndarray,
     k: np.ndarray,
-    ids: np.ndarray,
     is_key: np.ndarray,
     text_len: int,
 ) -> np.ndarray:
@@ -293,10 +282,11 @@ def _prune_boundary(
 
     q (pre-scaled) and k are the layer's split-head projections of the
     incoming rows. The last text_len rows are text and always kept; their
-    (heads, text_len, n) attention block is all that the importance rule reads.
+    post-softmax (heads, text_len, n) block is all the importance rule reads.
     """
-    n = ids.shape[0]
-    attn = _causal_probs(q, k, n - text_len, n, _upper_tile(text_len))
+    n = q.shape[1]
+    attn = _causal_exp(q, k, n - text_len, n, _upper_tile(text_len))
+    attn /= attn.sum(axis=-1, keepdims=True)
     keep = np.ones(n, dtype=bool)
     for group, flag in (("key", True), ("non_key", False)):
         grp_rows = np.flatnonzero(is_key == flag)
@@ -304,8 +294,8 @@ def _prune_boundary(
             continue
         ratio = retention_ratio(layer, group, sched)
         importance = token_importance(attn, grp_rows)
-        kept_ids = select_at_boundary(importance, ids[grp_rows], sched.origin(group), ratio)
-        keep[grp_rows] = np.isin(ids[grp_rows], kept_ids)
+        keep[grp_rows] = False
+        keep[select_at_boundary(importance, grp_rows, sched.origin(group), ratio)] = True
     return keep
 
 
@@ -321,7 +311,6 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         raise ValueError("schedule and model disagree on layer count")
     t0 = time.perf_counter()
     x, is_key = inp.x, inp.is_key
-    ids = np.arange(x.shape[0])
     boundaries = set(sched.boundary_layers())
     cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len, mask_from=model.layers)
     lengths = []
@@ -336,15 +325,14 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         if layer in boundaries:
             keep = _prune_boundary(
                 sched, layer, _split_heads(q_flat, model.heads),
-                _split_heads(k_flat, model.heads), ids, is_key, inp.text_len,
+                _split_heads(k_flat, model.heads), is_key, inp.text_len,
             )
-            x, ids, is_key = x[keep], ids[keep], is_key[keep[: len(is_key)]]
+            x, is_key = x[keep], is_key[keep[: len(is_key)]]
             q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
         n = x.shape[0]
         lengths.append(n)
         cache.k.append(k_flat)
         cache.v.append(v_flat)
-        cache.position_ids.append(ids.copy())
         first = n - 1 if layer == model.layers - 1 else 0
         # no name keeps the attention output alive into the next layer's workspace
         x = x[first:] + _causal_attention(
@@ -375,12 +363,11 @@ def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCa
         raise ValueError(f"unknown mode {mode!r}")
     mask_from = min(cache.mask_from, drop_layer) if mode == "neg_inf" else cache.mask_from
     out = KvCache(cache.prompt_len, cache.text_len, mask_from)
-    for layer in range(cache.num_layers):
-        arrays = (cache.k[layer], cache.v[layer], cache.position_ids[layer])
+    for layer, (k, v) in enumerate(zip(cache.k, cache.v)):
         if mode == "drop" and layer >= drop_layer:
-            arrays = tuple(a[len(a) - cache.text_len :].copy() for a in arrays)
-        for dest, a in zip((out.k, out.v, out.position_ids), arrays):
-            dest.append(a)
+            k, v = (a[len(a) - cache.text_len :].copy() for a in (k, v))
+        out.k.append(k)
+        out.v.append(v)
     return out
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metok.accounting import (
     InferenceTrace,
@@ -15,6 +17,7 @@ from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, kv_drop_layer
 from metok.toy_llm import apply_kv_policy, build_prefill_input, init_model, prefill
 from tests.test_toy_llm import make_stream, make_text
+from tests.test_vision import STAGE_SUBSETS, UNIT_RATIOS
 
 
 def trace(lengths, cached=None, steps=0, d=8, rho=4.0):
@@ -191,3 +194,37 @@ class TestStageToggleMatrix:
                 assert got.cached_positions == got.layer_lengths
             lengths[decode] = got.layer_lengths
         assert lengths[True] == lengths[False]
+
+
+@st.composite
+def small_runs(draw):
+    """Small videos and configs, boundaries anywhere from layer 0 to past the stack."""
+    t, h, w = draw(st.integers(1, 12)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    layers = draw(st.integers(1, 8))
+    l1 = draw(st.integers(0, layers + 1))
+    l2 = draw(st.integers(l1 + 1, layers + 2))
+    s1 = draw(st.integers(1, 4))
+    cfg = RunConfig(
+        k=draw(st.integers(1, t)), alpha=draw(UNIT_RATIOS), beta=draw(UNIT_RATIOS),
+        s1=s1, s2=draw(st.integers(s1, 5)), r=draw(UNIT_RATIOS),
+        layer_boundaries=(l1, l2, draw(st.integers(l2 + 1, layers + 3))), layers=layers,
+        heads=draw(st.sampled_from((1, 2, 4))), d_model=8, seed=draw(st.integers(0, 10**6)),
+        disable_stages=draw(st.sampled_from(STAGE_SUBSETS)),
+        baseline_stride=draw(st.integers(1, 3)),
+    )
+    frames, text = gen_synthetic(t, h, w, 6, seed=draw(st.integers(0, 10**6)),
+                                 num_segments=draw(st.integers(1, t)),
+                                 text_len=draw(st.integers(1, 5)))
+    return frames, text, cfg, draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(run=small_runs())
+def test_toy_run_matches_its_analytic_price(run):
+    """The toy model's traces and report equal the analytic ones across the config space."""
+    frames, text, cfg, steps = run
+    toy = run_simulation(frames, text, cfg, steps=steps)
+    priced = run_simulation(frames, text, cfg, steps=steps, analytic=True)
+    for name in ("baseline", "compressed"):
+        assert toy.trace_dict()[name] == priced.trace_dict()[name]
+    assert toy.report.to_dict() == priced.report.to_dict()

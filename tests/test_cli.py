@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,24 @@ class TestGen:
         rc = main(["gen", "--seed", "1", "--frames", "3", "--grid", "2x2", "--dim", "8",
                    "--events", "5", "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("frames, grid, text_len", [
+        (1, "1x1", 1 << 20),        # text: d + M one over its budget
+        (1, "4097x4096", 8),        # one frame's h*w*d over its budget
+        (129, "4096x4096", 8),      # each frame at its budget, T*h*w*d over the total
+    ], ids=["text", "frame", "total"])
+    def test_size_the_reader_would_refuse_is_usage_error(self, tmp_path, frames, grid, text_len):
+        out = tmp_path / "big"
+        tracemalloc.start()
+        try:
+            rc = main(["gen", "--seed", "1", "--frames", str(frames), "--grid", grid, "--dim", "1",
+                       "--text-len", str(text_len), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert not out.exists()
+        assert peak < 1 << 20
 
 
 class TestCompress:

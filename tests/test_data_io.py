@@ -189,6 +189,12 @@ class TestMebfErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_dims_at_each_budget_are_accepted(self):
+        count = data_io.record_elements
+        assert count(data_io.REC_TEXT, ((1 << 20) - 1, 1), "text") == data_io.MAX_TEXT_ELEMENTS
+        assert count(data_io.REC_FRAMES, (1, 1, 1, 1 << 24), "frame") == data_io.MAX_FRAME_ELEMENTS
+        assert count(data_io.REC_FRAMES, (128, 4096, 4096, 1), "video") == data_io.MAX_ELEMENTS
+
 
 class TestStreamingMemory:
     """A frame record is a float32 map of the file, converted to float64 a frame at a time."""

@@ -170,13 +170,15 @@ class TestSelectAtBoundary:
 
 
 def hand_cache(n_vis, n_text, layers, d=4):
-    """Prefill-shaped cache: every layer holds all n_vis visual then n_text text ids."""
+    """Prefill-shaped cache: every layer holds all n_vis visual then n_text text rows.
+
+    Each row's key holds its prompt position in every column.
+    """
     n = n_vis + n_text
     cache = KvCache(prompt_len=n, text_len=n_text, mask_from=layers)
     for _ in range(layers):
-        cache.k.append(np.zeros((n, d)))
+        cache.k.append(np.repeat(np.arange(n, dtype=np.float64)[:, None], d, axis=1))
         cache.v.append(np.zeros((n, d)))
-        cache.position_ids.append(np.arange(n))
     return cache
 
 
@@ -211,5 +213,5 @@ class TestKvKeepMask:
             cfg = RunConfig(layers=layers, layer_boundaries=(l1, l1 + 1, l1 + 2))
             cache = apply_kv_policy(hand_cache(n_vis, n_text, layers), kv_drop_layer(cfg))
             text = np.arange(n_vis, n_vis + n_text)
-            for ids in cache.position_ids:
-                assert np.array_equal(ids[len(ids) - n_text :], text)
+            for k in cache.k:
+                assert np.array_equal(k[len(k) - n_text :], np.repeat(text[:, None], 4, axis=1))
