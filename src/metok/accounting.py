@@ -47,7 +47,6 @@ class InferenceTrace:
     decode_steps: int              # decode forward passes (appended tokens)
     d_model: int
     mlp_ratio: float
-    prefill_ms: float = 0.0        # toy prefill wall-clock: printed, never in a report
 
     def __post_init__(self):
         if len(self.layer_lengths) != len(self.cached_positions):

@@ -185,9 +185,9 @@ def _simulate(args, cfg, frames, text, out) -> list[Path]:
     _write_json(report_path, result.report.to_dict())
     _write_json(trace_path, result.trace_dict())
     rep = result.report
-    if not args.analytic:
-        print(f"prefill_ms baseline={result.baseline.prefill_ms:.3f} "
-              f"compressed={result.compressed.prefill_ms:.3f}")
+    if result.prefill_ms is not None:
+        print(f"prefill_ms baseline={result.prefill_ms['baseline']:.3f} "
+              f"compressed={result.prefill_ms['compressed']:.3f}")
     print(f"flops reduction {rep.flops_reduction_pct:.2f}%  "
           f"kv reduction {rep.kv_reduction_pct:.2f}%")
     return [report_path, trace_path]

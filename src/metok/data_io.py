@@ -88,8 +88,9 @@ class ConfigError(ValueError):
 class FrameEmbeddings:
     """Visual tokens for one video: (T, h*w, d) values plus the token-grid shape.
 
-    tokens is a float64 array, or the float32 copy-on-write map read_embeddings
-    makes of a file; frames are read through frame_grid, one at a time.
+    tokens is kept as given when float32 (the copy-on-write map read_embeddings
+    makes of a file, or gen_synthetic's video) and held as float64 otherwise;
+    frames are read through frame_grid, one at a time.
     """
 
     tokens: np.ndarray
@@ -97,7 +98,7 @@ class FrameEmbeddings:
     grid_w: int
 
     def __post_init__(self):
-        if not isinstance(self.tokens, np.memmap):
+        if not (isinstance(self.tokens, np.ndarray) and self.tokens.dtype == np.float32):
             self.tokens = np.asarray(self.tokens, dtype=np.float64)
         if self.tokens.ndim != 3:
             raise ValueError("tokens must have shape (frames, tokens_per_frame, dim)")
@@ -295,7 +296,7 @@ def gen_synthetic(
         np.arange(num_segments),
         [base_len + 1 if s < rem else base_len for s in range(num_segments)],
     )
-    tokens = np.empty((num_frames, n_tok, dim))
+    tokens = np.empty((num_frames, n_tok, dim), dtype=np.float32)  # as written to MEBF
     for i in range(num_frames):
         base = bases[seg_of_frame[i]]
         scale = NOISE_SCALE * math.sqrt(float(np.dot(base, base)))

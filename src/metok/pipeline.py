@@ -5,13 +5,14 @@ stages disabled, uniform pooling at the configured baseline stride) so each
 report is self-contained. The analytic path prices both runs from their vision
 plans, pooling no token and never touching the toy model, which is what makes
 large desk replicas cheap; compress_stats reads a plan too. The toy path
-materialises the plans into pooled streams and measures each prefill's
-wall-clock on its trace; the report leaves it out.
+materialises the plans into pooled streams and times each prefill here; that
+wall-clock is only printed, so the traces and the report hold counts alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,11 +47,11 @@ class SimulationResult:
     report: ReductionReport
     decode_output: DecodeOutput | None = None
     baseline_decode_output: DecodeOutput | None = None
+    prefill_ms: dict[str, float] | None = None  # per run, toy mode only; printed, never saved
 
     def trace_dict(self) -> dict:
-        """Both runs' traces, wall-clock left out, plus each decode's tokens and logits digest."""
-        out = {name: {k: v for k, v in asdict(t).items() if k != "prefill_ms"}
-               for name, t in (("baseline", self.baseline), ("compressed", self.compressed))}
+        """Both runs' traces plus each decode's tokens and logits digest."""
+        out = {"baseline": asdict(self.baseline), "compressed": asdict(self.compressed)}
         if self.decode_output is not None:
             for name, dec in (("decode", self.decode_output),
                               ("baseline_decode", self.baseline_decode_output)):
@@ -83,31 +84,25 @@ def compress_stats(plan: VisionPlan, raw_tokens: int) -> dict:
     }
 
 
-def _toy_trace(
-    cfg: RunConfig,
-    model,
-    stream: TokenStream,
-    text: TextEmbedding,
-    steps: int,
-) -> tuple[InferenceTrace, DecodeOutput | None]:
+def _toy_trace(cfg: RunConfig, model, stream: TokenStream, text: TextEmbedding,
+               steps: int) -> tuple[InferenceTrace, DecodeOutput | None, float]:
+    """The run's trace, its decode (steps >= 1) and its prefill's wall-clock in ms."""
     n_key, n_nonkey = stream.group_counts()
     sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
     inp = build_prefill_input(model, stream, text)
+    t0 = time.perf_counter()
     res = prefill(model, inp, sched)
+    prefill_ms = (time.perf_counter() - t0) * 1000.0
     cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
-    cached_counts = cache.entry_counts()
-    out = None
-    if steps >= 1:
-        out = decode(model, cache, steps, res.final_logits)
+    out = decode(model, cache, steps, res.final_logits) if steps >= 1 else None
     trace = InferenceTrace(
         layer_lengths=res.layer_lengths,
-        cached_positions=cached_counts,
+        cached_positions=cache.entry_counts(),
         decode_steps=max(0, steps - 1),
         d_model=cfg.d_model,
         mlp_ratio=cfg.mlp_ratio,
-        prefill_ms=res.prefill_ms,
     )
-    return trace, out
+    return trace, out, prefill_ms
 
 
 def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
@@ -128,13 +123,14 @@ def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
         plan = plan_vision_stage(frames, text, cfg)
         compressed = analytic_trace(cfg, *plan.group_counts(), m, forwards)
         base = baseline_trace(base_cfg, len(plan_vision_stage(frames, text, base_cfg)), m, forwards)
-        stream = out = base_out = None
+        stream = out = base_out = prefill_ms = None
     else:
         stream, _ = run_vision_stage(frames, text, cfg)
         base_stream, _ = run_vision_stage(frames, text, base_cfg)
         model = init_model(cfg)
-        compressed, out = _toy_trace(cfg, model, stream, text, steps)
-        base, base_out = _toy_trace(base_cfg, model, base_stream, text, steps)
+        compressed, out, comp_ms = _toy_trace(cfg, model, stream, text, steps)
+        base, base_out, base_ms = _toy_trace(base_cfg, model, base_stream, text, steps)
+        prefill_ms = {"baseline": base_ms, "compressed": comp_ms}
 
     report = reduction_report(base, compressed, config=cfg.to_dict())
     return SimulationResult(
@@ -144,4 +140,5 @@ def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
         report=report,
         decode_output=out,
         baseline_decode_output=base_out,
+        prefill_ms=prefill_ms,
     )

@@ -16,12 +16,13 @@ built, and softmax is normalised after P·V. Heads run in chunks, at most one
 per CPU the process may use, on one reused score workspace; the result is
 bit-identical to one thread's. The final layer runs only the last prompt row,
 the one final_logits reads, so the executed work is below the counted
-4*n^2*d attention and MLP terms. The decode-stage policy drops cached visual
-entries from a given layer upward (the pipeline passes
-schedule.kv_drop_layer), either physically or by -inf masking from that
-layer; the two paths agree up to float summation order. The cache stores no
-per-entry flags: text is the last text_len entries of every layer. Layers the
-policy keeps whole are shared with its input, not copied.
+4*n^2*d attention and MLP terms; the prefill cache records each layer's length.
+The decode-stage policy drops cached visual entries from a given layer upward
+(the pipeline passes schedule.kv_drop_layer). Its reference is decode's -inf
+masking of the cache with mask_from at that layer; the two agree up to float
+summation order. The cache stores no per-entry flags: text is the last
+text_len entries of every layer. Layers the policy keeps whole are shared with
+its input, not copied. Wall-clock is the caller's to measure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -182,10 +182,6 @@ class KvCache:
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
     v: list[np.ndarray] = field(default_factory=list)
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.k)
-
     def entry_counts(self) -> list[int]:
         """Physically stored entries per layer (masked entries included)."""
         return [k.shape[0] for k in self.k]
@@ -195,8 +191,7 @@ class KvCache:
 class PrefillResult:
     cache: KvCache
     final_logits: np.ndarray     # logits at the last prompt position
-    layer_lengths: list[int]     # sequence length entering each layer
-    prefill_ms: float
+    layer_lengths: list[int]     # sequence length entering each layer: cache.entry_counts()
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -302,18 +297,16 @@ def _prune_boundary(
 def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> PrefillResult:
     """Forward the prompt, pruning visual tokens at each boundary layer's input.
 
-    Records the sequence length entering every layer and caches each layer's
-    keys/values for its surviving positions. The cache takes K/V from each
-    layer's input, so the final layer runs attention, Wo and the MLP only for
-    the last prompt row, the one final_logits reads.
+    Caches each layer's keys/values for its surviving positions, so the cache's
+    entry counts are the sequence lengths entering the layers. The cache takes
+    K/V from each layer's input, so the final layer runs attention, Wo and the
+    MLP only for the last prompt row, the one final_logits reads.
     """
     if sched.total_layers != model.layers:
         raise ValueError("schedule and model disagree on layer count")
-    t0 = time.perf_counter()
     x, is_key = inp.x, inp.is_key
     boundaries = set(sched.boundary_layers())
     cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len, mask_from=model.layers)
-    lengths = []
     q_scale = 1.0 / math.sqrt(model.head_dim)
     for layer in range(model.layers):
         # RMS-norm and the projections act row by row, so a boundary layer
@@ -330,7 +323,6 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
             x, is_key = x[keep], is_key[keep[: len(is_key)]]
             q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
         n = x.shape[0]
-        lengths.append(n)
         cache.k.append(k_flat)
         cache.v.append(v_flat)
         first = n - 1 if layer == model.layers - 1 else 0
@@ -343,28 +335,21 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         ) @ model.wo[layer]
         x = x + _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
-    return PrefillResult(
-        cache=cache,
-        final_logits=final_logits,
-        layer_lengths=lengths,
-        prefill_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return PrefillResult(cache=cache, final_logits=final_logits,
+                         layer_lengths=cache.entry_counts())
 
 
-def apply_kv_policy(cache: KvCache, drop_layer: int, mode: str = "drop") -> KvCache:
-    """Remove cached visual entries from drop_layer upward; text always stays.
+def apply_kv_policy(cache: KvCache, drop_layer: int) -> KvCache:
+    """Drop cached visual entries from drop_layer upward; text always stays.
 
-    mode "drop" keeps a copy of only the text tail of those layers; mode
-    "neg_inf" keeps them whole and masks their visual entries, which must match
-    the drop path up to float rounding. Every array the policy does not filter
-    is the input cache's own, shared rather than copied: both caches are read-only.
+    Those layers keep a copy of only their text tail. Every array the policy
+    does not filter is the input cache's own, shared rather than copied: both
+    caches are read-only. The -inf reference it must match is the input cache
+    with mask_from set to drop_layer, which decode masks instead of dropping.
     """
-    if mode not in ("drop", "neg_inf"):
-        raise ValueError(f"unknown mode {mode!r}")
-    mask_from = min(cache.mask_from, drop_layer) if mode == "neg_inf" else cache.mask_from
-    out = KvCache(cache.prompt_len, cache.text_len, mask_from)
+    out = KvCache(cache.prompt_len, cache.text_len, cache.mask_from)
     for layer, (k, v) in enumerate(zip(cache.k, cache.v)):
-        if mode == "drop" and layer >= drop_layer:
+        if layer >= drop_layer:
             k, v = (a[len(a) - cache.text_len :].copy() for a in (k, v))
         out.k.append(k)
         out.v.append(v)
@@ -393,7 +378,7 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if cache.num_layers != model.layers:
+    if len(cache.k) != model.layers:
         raise ValueError("cache and model disagree on layer count")
     tokens = [int(np.argmax(first_logits))]
     logits_rows = [np.asarray(first_logits, dtype=np.float64)]
@@ -434,8 +419,8 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
         tokens.append(int(np.argmax(logits)))
         logits_rows.append(logits)
     return DecodeOutput(
-        tokens=np.array(tokens[:steps], dtype=np.int64),
-        logits=np.stack(logits_rows[:steps]),
+        tokens=np.array(tokens, dtype=np.int64),
+        logits=np.stack(logits_rows),
         attn_split=attn_split,
     )
 

@@ -14,11 +14,11 @@ it, or through its alias uniform_stream for the bypass (the disabled stage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import EVENT_SCORES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
+from .data_io import EVENT_SCORES, FRAME_REDUCES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
 from .kernels import avg_pool_2d, ceil_scaled, cosine, top_k_stable
 
 __all__ = [
@@ -39,8 +39,9 @@ __all__ = [
 class EventPartition:
     """Contiguous event structure over [0, T) plus relevance scores and key flags.
 
-    boundaries[i] = j means there is a cut between frames j and j+1. Scores and
-    flags start empty and are filled in by score_relevance / select_keys.
+    boundaries[i] = j means there is a cut between frames j and j+1.
+    segment_events records each frame's token mean; score_relevance and
+    select_keys return copies with the scores and then the key flags set.
     """
 
     num_frames: int
@@ -49,7 +50,7 @@ class EventPartition:
     event_scores: np.ndarray | None = None
     key_event: np.ndarray | None = None
     key_frame: np.ndarray | None = None
-    frame_means: np.ndarray | None = None   # kept by segment_events for score_relevance
+    frame_means: np.ndarray | None = None   # (T, d), recorded by segment_events
 
     def __post_init__(self):
         self.boundaries = tuple(sorted(int(b) for b in self.boundaries))
@@ -71,24 +72,19 @@ class EventPartition:
         return [range(s, e) for s, e in zip(starts, ends)]
 
 
-def _frame_means(v: FrameEmbeddings) -> np.ndarray:
-    """(T, d) token mean of each frame, one frame converted at a time."""
-    return np.array([v.frame_grid(i).reshape(-1, v.dim).mean(axis=0) for i in range(v.num_frames)])
-
-
-def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> tuple[np.ndarray | None, np.ndarray]:
-    """Frame means (mean mode) and adjacent cosines of token means or flat frames, two at a time."""
-    if frame_reduce == "mean":
-        means = _frame_means(v)
-        return means, np.array([cosine(means[i], means[i + 1]) for i in range(len(means) - 1)])
-    if frame_reduce != "flatten":
+def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> tuple[np.ndarray, np.ndarray]:
+    """(T, d) frame token means and adjacent cosines of the means or flat frames, two at a time."""
+    if frame_reduce not in FRAME_REDUCES:
         raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
-    sims, prev = [], v.frame_grid(0).reshape(-1)
-    for i in range(1, v.num_frames):
-        cur = v.frame_grid(i).reshape(-1)
-        sims.append(cosine(prev, cur))
+    means, sims, prev = [], [], None
+    for i in range(v.num_frames):
+        cur = v.frame_grid(i).reshape(-1, v.dim)
+        means.append(cur.mean(axis=0))
+        if i:
+            pair = means[-2:] if frame_reduce == "mean" else (prev.reshape(-1), cur.reshape(-1))
+            sims.append(cosine(*pair))
         prev = cur
-    return None, np.array(sims)
+    return np.array(means), np.array(sims)
 
 
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:
@@ -96,6 +92,7 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
 
     Ties break toward the smaller (earlier) similarity index. A k outside
     [1, T] fails with ConfigError, and a zero-norm frame with ZeroNormError.
+    The partition records every frame's token mean, which score_relevance reads.
     """
     t = v.num_frames
     if not 1 <= k <= t:
@@ -105,48 +102,46 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
     return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts), frame_means=means)
 
 
-def score_relevance(
-    v: FrameEmbeddings,
-    text: TextEmbedding,
-    partition: EventPartition,
-    event_score: str = "mean",
-) -> EventPartition:
-    """Fill in cross-modal relevance: per frame against the text vector, then per event.
+def score_relevance(text: TextEmbedding, partition: EventPartition,
+                    event_score: str = "mean") -> EventPartition:
+    """A copy of partition with cross-modal relevance: per frame against the text, then per event.
 
-    Frame score is the cosine of the mean-pooled frame tokens against the text
-    embedding. Event score aggregates its frames' scores by mean (default) or max.
+    Frame score is the cosine of the frame's token mean, as segment_events
+    recorded it, against the text embedding. Event score aggregates its frames'
+    scores by mean (default) or max. The input partition is left unchanged.
     """
     if event_score not in EVENT_SCORES:
         raise ValueError(f"unknown event_score mode {event_score!r}")
-    if v.dim != text.dim:
-        raise ValueError(f"embedding dims differ: frames {v.dim}, text {text.dim}")
-    means = _frame_means(v) if partition.frame_means is None else partition.frame_means
-    partition.frame_scores = np.array([cosine(m, text.vector) for m in means])
+    means = partition.frame_means
+    if means is None:
+        raise ValueError("frame means not recorded; segment the video with segment_events")
+    if means.shape[1] != text.dim:
+        raise ValueError(f"embedding dims differ: frames {means.shape[1]}, text {text.dim}")
+    frame_scores = np.array([cosine(m, text.vector) for m in means])
     agg = np.mean if event_score == "mean" else np.max
-    partition.event_scores = np.array(
-        [float(agg(partition.frame_scores[ev.start : ev.stop])) for ev in partition.events]
-    )
-    return partition
+    event_scores = np.array([float(agg(frame_scores[ev.start : ev.stop]))
+                             for ev in partition.events])
+    return replace(partition, frame_scores=frame_scores, event_scores=event_scores)
 
 
 def select_keys(partition: EventPartition, alpha: float, beta: float) -> EventPartition:
-    """Flag the top ceil(alpha*k) events as key, and per event the top frames as key.
+    """A copy of partition with the top ceil(alpha*k) events, and per event the top frames, key.
 
     Every event, key or not, keeps max(1, ceil(beta*len)) key frames so no event
-    loses all of its key frames. All selections break ties toward the earlier index.
+    loses all of its key frames. All selections break ties toward the earlier
+    index. The input partition is left unchanged.
     """
     if partition.event_scores is None or partition.frame_scores is None:
         raise ValueError("scores not populated; run score_relevance first")
     k = partition.num_events
-    key_events = top_k_stable(partition.event_scores, ceil_scaled(alpha, k))
-    partition.key_event = np.zeros(k, dtype=bool)
-    partition.key_event[key_events] = True
-    partition.key_frame = np.zeros(partition.num_frames, dtype=bool)
+    key_event = np.zeros(k, dtype=bool)
+    key_event[top_k_stable(partition.event_scores, ceil_scaled(alpha, k))] = True
+    key_frame = np.zeros(partition.num_frames, dtype=bool)
     for ev in partition.events:
         count = max(1, ceil_scaled(beta, len(ev)))
         local = top_k_stable(partition.frame_scores[ev.start : ev.stop], count)
-        partition.key_frame[ev.start + local] = True
-    return partition
+        key_frame[ev.start + local] = True
+    return replace(partition, key_event=key_event, key_frame=key_frame)
 
 
 def scaled_stride(stride: int, alpha: float) -> int:
@@ -238,7 +233,7 @@ def plan_vision_stage(v: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig) -
     if not cfg.stage_enabled("vision"):
         return _bypass_plan(v, cfg.baseline_stride)
     partition = segment_events(v, cfg.k, cfg.frame_reduce)
-    partition = score_relevance(v, text, partition, cfg.event_score)
+    partition = score_relevance(text, partition, cfg.event_score)
     partition = select_keys(partition, cfg.alpha, cfg.beta)
     return _stride_plan(v, partition, cfg.s1, cfg.s2, cfg.alpha)
 

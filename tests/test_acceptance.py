@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -111,7 +112,7 @@ def test_criterion_3_token_count_closed_form():
             t, h, w, 6, seed=rng.next_raw() % 10**9,
             num_segments=1 + rng.next_raw() % t,
         )
-        part = select_keys(score_relevance(emb, text, segment_events(emb, k)), alpha, beta)
+        part = select_keys(score_relevance(text, segment_events(emb, k)), alpha, beta)
         stream = adaptive_pool(emb, _stride_plan(emb, part, s1, s2, alpha))
         # independent oracle: rebuild the four-way stride rule from the flags,
         # then apply the closed form
@@ -148,8 +149,9 @@ def test_criterion_4_softmax_exclusion_identity():
         )
         res = prefill(model, inp, sched)
         drop = sched.l1
-        out_drop = decode(model, apply_kv_policy(res.cache, drop, "drop"), 4, res.final_logits)
-        out_mask = decode(model, apply_kv_policy(res.cache, drop, "neg_inf"), 4, res.final_logits)
+        out_drop = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
+        out_mask = decode(model, dataclasses.replace(res.cache, mask_from=drop), 4,
+                          res.final_logits)
         assert np.array_equal(out_drop.tokens, out_mask.tokens)
         diff = float(np.max(np.abs(out_drop.logits - out_mask.logits)))
         assert diff <= 1e-9, f"run {run}: logits diverged by {diff}"
@@ -195,6 +197,20 @@ def test_criterion_6_efficiency_desk_replica():
     print(f"\n  replica: FLOPs reduction {flops_red:.2f}% (target 80.6 +/- 10), "
           f"KV reduction {kv_red:.2f}% (target 93.5 +/- 5)")
     report("6 (efficiency desk replica)", t0, 5.0)
+
+
+def test_calibrated_replica_point_reproduces_the_abstract_numbers():
+    # criterion 6's replica with s1=s2=2, alpha=0.4, r=0.8: the second row of
+    # the README table, within 0.5 points of both published reductions
+    cfg = RunConfig(
+        k=13, alpha=0.4, beta=0.45, s1=2, s2=2, r=0.8,
+        layer_boundaries=(3, 10, 19), layers=28, heads=28, d_model=3584,
+        mlp_ratio=18944 / 3584, seed=1234, baseline_stride=2,
+    )
+    frames, text = gen_synthetic(128, 24, 24, 32, seed=1234, num_segments=13, text_len=64)
+    rep = run_simulation(frames, text, cfg, steps=64, analytic=True).report
+    assert abs(rep.flops_reduction_pct - 80.6) <= 0.5, f"FLOPs reduction {rep.flops_reduction_pct}"
+    assert abs(rep.kv_reduction_pct - 93.5) <= 0.5, f"KV reduction {rep.kv_reduction_pct}"
 
 
 def test_criterion_7_nesting_and_monotonicity():

@@ -224,6 +224,18 @@ class TestStreamingMemory:
         assert peak <= frame_bytes + (1 << 20)
         assert p.read_bytes()[22:] == emb.tokens.astype("<f4").tobytes()
 
+    def test_gen_draws_the_video_as_float32(self):
+        # a float64 video drawn first and cast on write would peak above 2x
+        t, h, w, d = 64, 32, 32, 64
+        tracemalloc.start()
+        try:
+            emb, _ = gen_synthetic(t, h, w, d, seed=3, num_segments=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.tokens.dtype == np.float32
+        assert peak < 1.25 * t * h * w * d * 4
+
     @pytest.mark.parametrize("frame_reduce", ["mean", "flatten"])
     def test_read_plan_and_compress_peak_at_two_frames(self, tmp_path, frame_reduce):
         # ~12 MiB of float32; a float64 copy of the whole video would be ~24 MiB

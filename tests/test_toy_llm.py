@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from metok import toy_llm
 from metok.data_io import RunConfig, TextEmbedding, config_with, gen_synthetic
 from metok.kernels import Rng64
+from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary, token_importance
 from metok.toy_llm import (
     KvCache,
@@ -104,8 +106,8 @@ def dense_prefill(model, inp, sched):
 def assert_same_cache(a, b, kv_tol=0.0):
     """Equal metadata in every layer; keys/values equal, or within kv_tol."""
     assert (a.prompt_len, a.text_len, a.mask_from) == (b.prompt_len, b.text_len, b.mask_from)
-    assert a.num_layers == b.num_layers
-    for layer in range(a.num_layers):
+    assert len(a.k) == len(b.k)
+    for layer in range(len(a.k)):
         for name in ("k", "v"):
             got, want = getattr(a, name)[layer], getattr(b, name)[layer]
             assert got.shape == want.shape
@@ -400,8 +402,8 @@ class TestKvPolicyAndDecode:
 
     def test_drop_matches_neg_inf_masking(self):
         model, res, sched = self._prefilled()
-        dropped = apply_kv_policy(res.cache, sched.l1, "drop")
-        flagged = apply_kv_policy(res.cache, sched.l1, "neg_inf")
+        dropped = apply_kv_policy(res.cache, sched.l1)
+        flagged = dataclasses.replace(res.cache, mask_from=sched.l1)
         out_a = decode(model, dropped, 6, res.final_logits)
         out_b = decode(model, flagged, 6, res.final_logits)
         assert np.array_equal(out_a.tokens, out_b.tokens)
@@ -436,9 +438,9 @@ class TestKvPolicyAndDecode:
 
     def test_policy_off_is_bitwise_noop(self):
         model, res, _ = self._prefilled()
-        plain = apply_kv_policy(res.cache, model.layers, "drop")
+        plain = apply_kv_policy(res.cache, model.layers)
         out_a = decode(model, plain, 5, res.final_logits)
-        out_b = decode(model, apply_kv_policy(res.cache, model.layers, "drop"), 5, res.final_logits)
+        out_b = decode(model, apply_kv_policy(res.cache, model.layers), 5, res.final_logits)
         assert np.array_equal(out_a.tokens, out_b.tokens)
         assert np.array_equal(out_a.logits, out_b.logits)
 
@@ -525,6 +527,24 @@ def test_simulation_bit_identical_across_blas_thread_counts():
     assert all(runs == results[0] for runs in results[1:])
     # the compressed run pruned, so both prefill paths were exercised
     assert results[0][0]["lengths"] != results[0][1]["lengths"]
+
+
+def test_concurrent_toy_runs_match_serial_ones(monkeypatch):
+    # two toy runs at once, as sweep runs its points, each handing head chunks
+    # of every attention call to the one shared head pool
+    monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)
+    monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 2)
+    frames, text = gen_synthetic(12, 6, 6, 16, seed=8, num_segments=3)
+    cfgs = [RunConfig(k=3, layers=4, heads=4, d_model=32, layer_boundaries=(1, 2, 3), r=r)
+            for r in (0.4, 0.7)]
+
+    def traced(cfg):
+        return run_simulation(frames, text, cfg, steps=5).trace_dict()
+
+    serial = [traced(cfg) for cfg in cfgs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(traced, cfgs)) == serial
+    assert serial[0] != serial[1] and "logits_digest" in serial[0]["baseline_decode"]
 
 
 class TestAttentionRatios:

@@ -52,6 +52,11 @@ def frames_with_text_scores(scores):
     return FrameEmbeddings(tokens=tokens, grid_h=1, grid_w=1)
 
 
+def partition_state(part):
+    """Every field of a partition as plain values, arrays as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(part).items()}
+
+
 TEXT_X = TextEmbedding(vector=np.array([1.0, 0.0]), token_ids=np.array([1]))
 
 
@@ -135,46 +140,61 @@ class TestSegmentEvents:
 class TestScoreRelevance:
     def test_frame_equal_to_text(self):
         v = FrameEmbeddings(tokens=np.tile([1.0, 0.0], (1, 4, 1)), grid_h=2, grid_w=2)
-        part = score_relevance(v, TEXT_X, segment_events(v, 1))
+        part = score_relevance(TEXT_X, segment_events(v, 1))
         assert part.frame_scores[0] == 1.0
 
     def test_orthogonal_frame(self):
         v = FrameEmbeddings(tokens=np.tile([0.0, 1.0], (1, 4, 1)), grid_h=2, grid_w=2)
-        part = score_relevance(v, TEXT_X, segment_events(v, 1))
+        part = score_relevance(TEXT_X, segment_events(v, 1))
         assert part.frame_scores[0] == 0.0
 
     def test_event_aggregation_modes(self):
         v = frames_with_text_scores([0.2, 0.6])
-        part = EventPartition(num_frames=2, boundaries=())
-        mean_part = score_relevance(v, TEXT_X, part)
+        mean_part = score_relevance(TEXT_X, segment_events(v, 1))
         assert mean_part.event_scores[0] == pytest.approx(0.4, abs=1e-12)
-        max_part = score_relevance(v, TEXT_X, EventPartition(num_frames=2, boundaries=()), "max")
+        max_part = score_relevance(TEXT_X, segment_events(v, 1), "max")
         assert max_part.event_scores[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_dim_mismatch(self):
         v = frames_with_text_scores([0.5])
         bad = TextEmbedding(vector=np.ones(3), token_ids=np.array([0]))
         with pytest.raises(ValueError):
-            score_relevance(v, bad, segment_events(v, 1))
+            score_relevance(bad, segment_events(v, 1))
+
+    def test_partition_without_frame_means_is_refused(self):
+        with pytest.raises(ValueError, match="frame means"):
+            score_relevance(TEXT_X, EventPartition(num_frames=2, boundaries=()))
+
+    @pytest.mark.parametrize("frame_reduce", FRAME_REDUCES)
+    def test_scoring_and_selection_leave_their_input_unchanged(self, frame_reduce):
+        emb, text = gen_synthetic(9, 2, 3, 8, seed=4, num_segments=3)
+        segmented = segment_events(emb, 3, frame_reduce)
+        before = partition_state(segmented)
+        scored = score_relevance(text, segmented)
+        assert partition_state(segmented) == before
+        scored_before = partition_state(scored)
+        keyed = select_keys(scored, alpha=0.5, beta=0.4)
+        assert partition_state(scored) == scored_before
+        assert scored_before["frame_scores"] is not None and keyed.key_frame.any()
 
 
 class TestSelectKeys:
     def test_top_events(self):
         v = frames_with_text_scores([0.3, 0.7, 0.5])
-        part = score_relevance(v, TEXT_X, segment_events(v, 3))
+        part = score_relevance(TEXT_X, segment_events(v, 3))
         part = select_keys(part, alpha=0.5, beta=1.0)
         assert part.key_event.tolist() == [False, True, True]
 
     def test_alpha_one_all_key(self):
         v = frames_with_text_scores([0.3, 0.7, 0.5])
-        part = score_relevance(v, TEXT_X, segment_events(v, 3))
+        part = score_relevance(TEXT_X, segment_events(v, 3))
         part = select_keys(part, alpha=1.0, beta=0.5)
         assert part.key_event.all()
 
     def test_key_frame_count_beta(self):
         # ceil(0.45 * 4) == 2
         v = frames_with_text_scores([0.1, 0.9, 0.5, 0.3])
-        part = score_relevance(v, TEXT_X, segment_events(v, 1))
+        part = score_relevance(TEXT_X, segment_events(v, 1))
         part = select_keys(part, alpha=1.0, beta=0.45)
         assert int(part.key_frame.sum()) == 2
         assert part.key_frame.tolist() == [False, True, True, False]
@@ -186,7 +206,7 @@ class TestSelectKeys:
             k = 1 + (rng.next_raw() % t)
             emb, text = gen_synthetic(t, 2, 2, 8, seed=rng.next_raw(), num_segments=1)
             part = select_keys(
-                score_relevance(emb, text, segment_events(emb, k)), alpha=0.5, beta=0.2
+                score_relevance(text, segment_events(emb, k)), alpha=0.5, beta=0.2
             )
             assert int(part.key_event.sum()) == ceil_scaled(0.5, k)
             for ev in part.events:
@@ -263,7 +283,7 @@ class TestAdaptivePool:
             beta = (1 + (rng.next_raw() % 10)) / 10
             emb, text = gen_synthetic(t, h, w, 6, seed=rng.next_raw() % 10**6, num_segments=1)
             part = select_keys(
-                score_relevance(emb, text, segment_events(emb, k)), alpha, beta
+                score_relevance(text, segment_events(emb, k)), alpha, beta
             )
             plan = _stride_plan(emb, part, s1, s2, alpha)
             stream = adaptive_pool(emb, plan)
