@@ -2,10 +2,12 @@
 
 Every run writes a manifest.json capturing the tool version, seed, effective
 config, and sha256 digests of inputs and artifacts, so any artifact can be
-reproduced bit for bit from its manifest. The config file sets every RunConfig
-field outside RUNTIME_FIELDS; flags set those. Exit codes: 0 success, 1 usage
-error, 2 data error (a malformed config or input file, or inputs that do not
-fit together); any other failure is a bug and surfaces as a traceback.
+reproduced bit for bit from its manifest. The input digests are computed on a
+worker thread while the command runs; the thread never outlives the command.
+The config file sets every RunConfig field outside RUNTIME_FIELDS; flags set
+those. Exit codes: 0 success, 1 usage error, 2 data error (a malformed config
+or input file, or inputs that do not fit together); any other failure is a bug
+and surfaces as a traceback.
 A failed command writes nothing: --out and its artifacts appear only once the
 config and inputs pass every check, and a sweep writes only after every point
 has run. METOK_THREADS caps how many sweep points run at once.
@@ -19,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import get_type_hints
@@ -60,10 +63,13 @@ class _Parser(argparse.ArgumentParser):
 _HASH_CHUNK = 1 << 18  # bytes per read while hashing, so a large input is never held whole
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path, stop: threading.Event | None = None) -> str | None:
+    """Hex sha256 of the file, or None if stop is set before the last chunk."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_HASH_CHUNK):
+            if stop is not None and stop.is_set():
+                return None
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -84,9 +90,10 @@ def _write_manifest(
     argv: list[str],
     seed: int,
     config: dict,
-    inputs: dict[str, Path],
+    inputs: dict[str, str],
     artifacts: list[Path],
 ) -> None:
+    """Write manifest.json from the inputs' sha256 digests; the artifacts are hashed here."""
     manifest = {
         "tool": "metok",
         "version": __version__,
@@ -94,7 +101,7 @@ def _write_manifest(
         "argv": argv,
         "seed": seed,
         "config": config,
-        "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
+        "inputs": dict(sorted(inputs.items())),
         "artifacts": {p.relative_to(out_dir).as_posix(): _sha256(p) for p in sorted(artifacts)},
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -116,27 +123,39 @@ def _on_inputs(command: str, body):
 
     Once the config and inputs pass their checks, body(args, cfg, frames, text,
     out) writes the artifacts and returns their paths; the manifest comes last.
+    The inputs are hashed on one worker thread while the rest runs (hashlib
+    releases the GIL), and the thread is joined before the handler returns.
+    A hash error surfaces only once the body has succeeded; a failed command
+    stops the hashing at its next chunk rather than waiting for digests it
+    will not write.
     """
     def handler(args, argv) -> int:
-        if getattr(args, "steps", 0) < 0:
-            raise UsageError(f"--steps must not be negative, got {args.steps}")
-        cfg = load_config(Path(args.config))
-        overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
-                     if getattr(args, name) is not None}
-        cfg = config_with(cfg, **overrides) if overrides else cfg
-        frames, text = read_embeddings(Path(args.input)), read_embeddings(Path(args.text))
-        if not isinstance(frames, FrameEmbeddings):
-            raise MebfError(f"{args.input}: expected a frame tensor record")
-        if not isinstance(text, TextEmbedding):
-            raise MebfError(f"{args.text}: expected a text embedding record")
-        if frames.dim != text.dim:
-            raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
-        out = Path(args.out)
-        artifacts = body(args, cfg, frames, text, out)
-        _write_manifest(
-            out, command, argv, cfg.seed, cfg.to_dict(),
-            {"input": Path(args.input), "text": Path(args.text)}, artifacts,
-        )
+        stop = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as hasher:
+            digests = {name: hasher.submit(_sha256, Path(getattr(args, name)), stop)
+                       for name in ("input", "text")}
+            try:
+                if getattr(args, "steps", 0) < 0:
+                    raise UsageError(f"--steps must not be negative, got {args.steps}")
+                cfg = load_config(Path(args.config))
+                overrides = {name: getattr(args, name) for name in RUNTIME_FIELDS
+                             if getattr(args, name) is not None}
+                cfg = config_with(cfg, **overrides) if overrides else cfg
+                frames, text = read_embeddings(Path(args.input)), read_embeddings(Path(args.text))
+                if not isinstance(frames, FrameEmbeddings):
+                    raise MebfError(f"{args.input}: expected a frame tensor record")
+                if not isinstance(text, TextEmbedding):
+                    raise MebfError(f"{args.text}: expected a text embedding record")
+                if frames.dim != text.dim:
+                    raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
+                out = Path(args.out)
+                artifacts = body(args, cfg, frames, text, out)
+                _write_manifest(
+                    out, command, argv, cfg.seed, cfg.to_dict(),
+                    {name: digest.result() for name, digest in digests.items()}, artifacts,
+                )
+            finally:
+                stop.set()  # on success every digest is already in hand
         return 0
 
     return handler

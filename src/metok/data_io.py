@@ -89,8 +89,10 @@ class FrameEmbeddings:
     """Visual tokens for one video: (T, h*w, d) values plus the token-grid shape.
 
     tokens is kept as given when float32 (the copy-on-write map read_embeddings
-    makes of a file, or gen_synthetic's video) and held as float64 otherwise;
-    frames are read through frame_grid, one at a time.
+    makes of a file, or gen_synthetic's video) and held as float64 otherwise.
+    Readers take one frame at a time through frame_grid, or reduce tokens
+    directly with a float64 accumulator (dtype=np.float64); neither makes a
+    float64 copy of the whole video.
     """
 
     tokens: np.ndarray

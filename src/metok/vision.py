@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -73,18 +74,14 @@ class EventPartition:
 
 
 def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> tuple[np.ndarray, np.ndarray]:
-    """(T, d) frame token means and adjacent cosines of the means or flat frames, two at a time."""
+    """(T, d) frame token means, one float64 reduction over the stored tokens, and
+    adjacent cosines of the means or of flat frames read two at a time."""
     if frame_reduce not in FRAME_REDUCES:
         raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
-    means, sims, prev = [], [], None
-    for i in range(v.num_frames):
-        cur = v.frame_grid(i).reshape(-1, v.dim)
-        means.append(cur.mean(axis=0))
-        if i:
-            pair = means[-2:] if frame_reduce == "mean" else (prev.reshape(-1), cur.reshape(-1))
-            sims.append(cosine(*pair))
-        prev = cur
-    return np.array(means), np.array(sims)
+    means = np.asarray(v.tokens.mean(axis=1, dtype=np.float64))
+    rows = means if frame_reduce == "mean" else (
+        v.frame_grid(i).reshape(-1) for i in range(v.num_frames))
+    return means, np.array([cosine(a, b) for a, b in pairwise(rows)])
 
 
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:

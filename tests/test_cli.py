@@ -1,7 +1,14 @@
+import hashlib
 import json
 import os
+import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,8 +136,6 @@ class TestSimulate:
         assert rep_t["kv_bytes"] == rep_a["kv_bytes"]
 
     def test_manifest_digests_recomputable(self, data_dir, config_path, tmp_path):
-        import hashlib
-
         out = tmp_path / "sim_m"
         assert run_sim(data_dir, config_path, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -336,27 +341,53 @@ class TestExitCodes:
             run_sim(data_dir, config_path, tmp_path / "o")
 
 
-@pytest.mark.parametrize("command, extra, bad_config, code", [
-    (["compress"], [], True, 2),
-    (["simulate"], [], True, 2),
-    (["diag", "attention-ratio"], [], True, 2),
-    (["diag", "attention-ratio"], ["--steps", "1"], False, 1),
+@pytest.mark.parametrize("command, extra, fault, code", [
+    (["compress"], [], "bad-config", 2),
+    (["simulate"], [], "bad-config", 2),
+    (["diag", "attention-ratio"], [], "bad-config", 2),
+    (["diag", "attention-ratio"], ["--steps", "1"], None, 1),
     # the second point's k exceeds the fixture's 12 frames, after the first point ran
-    (["sweep"], ["--param", "k=1,13", "--analytic"], False, 2),
-    (["simulate"], ["--steps", "-1"], False, 1),
-    (["sweep"], ["--steps", "-1", "--param", "r=0.3", "--analytic"], False, 1),
+    (["sweep"], ["--param", "k=1,13", "--analytic"], None, 2),
+    (["simulate"], ["--steps", "-1"], None, 1),
+    (["sweep"], ["--steps", "-1", "--param", "r=0.3", "--analytic"], None, 1),
+    (["simulate"], ["--analytic"], "missing-input", 2),
+    (["simulate"], ["--analytic"], "non-finite", 2),
 ], ids=["compress-bad-config", "simulate-bad-config", "diag-bad-config", "diag-one-step",
-        "sweep-k-above-frames", "simulate-negative-steps", "sweep-negative-steps"])
-def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path,
-                                          command, extra, bad_config, code):
-    if bad_config:
+        "sweep-k-above-frames", "simulate-negative-steps", "sweep-negative-steps",
+        "simulate-missing-input", "simulate-non-finite"])
+def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path, monkeypatch,
+                                          command, extra, fault, code):
+    class SlowSha256:  # 1 ms a chunk: the 12 KiB video alone is 770 chunks of 16 bytes
+        updates = 0
+
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def update(self, chunk):
+            time.sleep(1e-3)
+            SlowSha256.updates += 1
+            self.digest.update(chunk)
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=SlowSha256))
+    monkeypatch.setattr(cli, "_HASH_CHUNK", 16)
+    video = data_dir / "video.mebf"
+    if fault == "bad-config":
         config_path.write_text('{"alpha": 1.5}')
+    elif fault == "missing-input":
+        video = tmp_path / "nope.mebf"
+    elif fault == "non-finite":
+        data = bytearray(video.read_bytes())
+        data[-4:] = struct.pack("<f", np.nan)
+        video.write_bytes(bytes(data))
+    threads = threading.active_count()
     out = tmp_path / "o"
-    rc = main([*command, "--config", str(config_path),
-               "--input", str(data_dir / "video.mebf"), "--text", str(data_dir / "text.mebf"),
-               "--out", str(out), *extra])
+    rc = main([*command, "--config", str(config_path), "--input", str(video),
+               "--text", str(data_dir / "text.mebf"), "--out", str(out), *extra])
     assert rc == code
     assert not out.exists()
+    # the input hashing was stopped early, and its thread joined
+    assert threading.active_count() == threads
+    assert SlowSha256.updates < 400
 
 
 def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
@@ -388,9 +419,6 @@ def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
 
 
 def test_sha256_reads_in_chunks(tmp_path):
-    import hashlib
-    import tracemalloc
-
     from metok.cli import _sha256
 
     p = tmp_path / "big.bin"
@@ -403,6 +431,91 @@ def test_sha256_reads_in_chunks(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["compress"], []),
+    (["simulate"], ["--analytic", "--steps", "5"]),
+    (["diag", "attention-ratio"], ["--steps", "3"]),
+    (["sweep"], ["--analytic", "--param", "r=0.3,0.55", "--steps", "5"]),
+], ids=["compress", "simulate-analytic", "diag", "sweep-analytic"])
+def test_manifest_input_digests_are_the_files_sha256(tmp_path, command, extra):
+    io_args = criterion_8_io(tmp_path)
+    threads = threading.active_count()
+    out = tmp_path / "o"
+    assert main([*command, *io_args, "--out", str(out), *extra]) == 0
+    assert threading.active_count() == threads  # the hashing thread was joined
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    paths = {"input": io_args[io_args.index("--input") + 1],
+             "text": io_args[io_args.index("--text") + 1]}
+    assert inputs == {name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                      for name, p in paths.items()}
+
+
+def test_inputs_are_hashed_off_the_main_thread(tmp_path, monkeypatch):
+    io_args = criterion_8_io(tmp_path)
+    on_main = {}
+
+    def recording_sha256(path, stop=None):
+        on_main[Path(path).name] = threading.current_thread() is threading.main_thread()
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    monkeypatch.setattr(cli, "_sha256", recording_sha256)
+    assert main(["simulate", *io_args, "--out", str(tmp_path / "o"), "--analytic"]) == 0
+    assert on_main == {"video.mebf": False, "text.mebf": False,
+                       "report.json": True, "trace.json": True}
+
+
+# What the metok console script loads before its first command, then the thread
+# count the loaded OpenBLAS reports (None where it cannot be asked; the same
+# probe as bench/run.py) and the BLAS variable as the process sees it.
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import metok.cli
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+print(json.dumps({"threads": blas_threads(), "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.parametrize("preset, order, want_env", [
+    (None, [], "1"),
+    ("2", [], "2"),
+    (None, ["numpy-first"], None),
+], ids=["unset", "caller-sets-2", "numpy-loaded-first"])
+def test_metok_entry_pins_blas_to_one_thread(preset, order, want_env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *order], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    got = json.loads(proc.stdout)
+    assert got["env"] == want_env  # a caller's setting, or numpy loaded first, is kept
+    if want_env is not None:
+        assert got["threads"] in (None, int(want_env))
 
 
 @pytest.mark.parametrize("extra", [[], ["--analytic"], ["--frame-reduce", "flatten"]],

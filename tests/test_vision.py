@@ -128,6 +128,19 @@ class TestSegmentEvents:
             got = [(e.start, e.stop) for e in part.events]
             assert got == brute_force_events(sims, k)
 
+    @pytest.mark.parametrize("frame_reduce", FRAME_REDUCES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 1, 1, 1), (7, 1, 1, 3), (4, 3, 3, 1),
+                                       (6, 6, 8, 16), (3, 25, 40, 7)])
+    def test_frame_means_equal_the_per_frame_loop(self, shape, dtype, frame_reduce):
+        # the reference reads one frame at a time through frame_grid
+        t, h, w, d = shape
+        tokens = Rng64(sum(shape)).next_unit_array(t * h * w * d).reshape(t, h * w, d)
+        v = FrameEmbeddings(tokens=(37.5 * tokens).astype(dtype), grid_h=h, grid_w=w)
+        want = np.array([v.frame_grid(i).reshape(-1, d).mean(axis=0) for i in range(t)])
+        got = segment_events(v, 1, frame_reduce).frame_means
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
     def test_partition_invariants(self):
         emb, _ = gen_synthetic(17, 2, 3, 8, seed=1, num_segments=4)
         part = segment_events(emb, 5)
