@@ -5,24 +5,26 @@ to the input rows before any pruning (so survivors keep their temporal
 geometry and no position ids are tracked), ReLU MLPs, greedy argmax decoding.
 All weights come from one seeded SplitMix64 stream, so identical configs give
 bitwise-identical models, prefills, and decodes regardless of thread count.
+Each layer's Q, K and V weights are the column blocks of one (d, 3d) array.
 
 Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
-sequence. The text prompt is the last text_len rows at every layer and is
-never pruned. Causal attention runs over blocks of query rows with q
-pre-scaled by 1/sqrt(head_dim), so no (heads, n, n) score tensor is ever
-built, and softmax is normalised after P·V. Heads run in chunks, at most one
-per CPU the process may use, on one reused score workspace; the result is
-bit-identical to one thread's. The final layer runs only the last prompt row,
-the one final_logits reads, so the executed work is below the counted
-4*n^2*d attention and MLP terms; the prefill cache records each layer's length.
+sequence; the text prompt, the last text_len rows, is never pruned. Causal
+attention runs over blocks of query rows with q pre-scaled by 1/sqrt(head_dim),
+so no (heads, n, n) score tensor is ever built, and softmax is normalised after
+P·V. Heads run in chunks, at most one per CPU the process may use, on one
+reused score workspace; the result is bit-identical to one thread's. The final
+layer runs only the last prompt row, the one final_logits reads, so the
+executed work is below the counted 4*n^2*d attention and MLP terms.
+A decode layer-step is one fused Q/K/V matmul plus ~25 small numpy calls; its
+floor is streaming the float64 weights (19 MB a forward at d_model 128, 12 layers).
 The decode-stage policy drops cached visual entries from a given layer upward
 (the pipeline passes schedule.kv_drop_layer). Its reference is decode's -inf
-masking of the cache with mask_from at that layer; the two agree up to float
-summation order. The cache stores no per-entry flags: text is the last
-text_len entries of every layer. Layers the policy keeps whole are shared with
-its input, not copied. Wall-clock is the caller's to measure.
+masking with mask_from at that layer; the two agree up to float summation
+order. Text is the last text_len entries of every cache layer; layers the
+policy keeps whole are shared with its input, not copied. Wall-clock is the
+caller's to measure.
 """
 
 from __future__ import annotations
@@ -41,17 +43,8 @@ from .schedule import PruneSchedule, retention_ratio, select_at_boundary, token_
 from .vision import TokenStream
 
 __all__ = [
-    "DecodeOutput",
-    "KvCache",
-    "PrefillInput",
-    "PrefillResult",
-    "ToyModel",
-    "apply_kv_policy",
-    "attention_ratio_trace",
-    "build_prefill_input",
-    "decode",
-    "init_model",
-    "prefill",
+    "DecodeOutput", "KvCache", "PrefillInput", "PrefillResult", "ToyModel", "apply_kv_policy",
+    "attention_ratio_trace", "build_prefill_input", "decode", "init_model", "prefill",
 ]
 
 VOCAB = 256
@@ -74,7 +67,8 @@ class ToyModel:
     seed: int
     embed: np.ndarray
     unembed: np.ndarray
-    wq: list[np.ndarray]
+    w_qkv: list[np.ndarray]      # (d, 3d): wq, wk, wv side by side
+    wq: list[np.ndarray]         # column-block views of w_qkv
     wk: list[np.ndarray]
     wv: list[np.ndarray]
     wo: list[np.ndarray]
@@ -96,19 +90,18 @@ def init_model(cfg: RunConfig) -> ToyModel:
         return rng.next_unit_array(rows * cols).reshape(rows, cols) / math.sqrt(rows)
 
     embed = draw(VOCAB, d) * math.sqrt(VOCAB)  # unit-scale token vectors
-    wq, wk, wv, wo, w_in, w_out = [], [], [], [], [], []
+    w_qkv, wo, w_in, w_out = [], [], [], []
     for _ in range(cfg.layers):
-        wq.append(draw(d, d))
-        wk.append(draw(d, d))
-        wv.append(draw(d, d))
+        w_qkv.append(np.concatenate([draw(d, d) for _ in range(3)], axis=1))  # q, k, v
         wo.append(draw(d, d))
         w_in.append(draw(d, hidden))
         w_out.append(draw(hidden, d))
     unembed = draw(d, VOCAB)
+    wq, wk, wv = ([w[:, i * d : (i + 1) * d] for w in w_qkv] for i in range(3))
     return ToyModel(
-        layers=cfg.layers, heads=cfg.heads, d_model=d,
-        vocab=VOCAB, seed=cfg.seed, embed=embed, unembed=unembed,
-        wq=wq, wk=wk, wv=wv, wo=wo, w_in=w_in, w_out=w_out,
+        layers=cfg.layers, heads=cfg.heads, d_model=d, vocab=VOCAB, seed=cfg.seed,
+        embed=embed, unembed=unembed, w_qkv=w_qkv, wq=wq, wk=wk, wv=wv,
+        wo=wo, w_in=w_in, w_out=w_out,
     )
 
 
@@ -134,9 +127,14 @@ def _rms_norm(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
 
 
-def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
-    """ReLU MLP of the rms-normed rows; the hidden block is rectified in place and freed."""
-    hidden = _rms_norm(x) @ w_in
+def _rms_row(x: np.ndarray) -> np.ndarray:
+    """_rms_norm of one 1-D row, bit for bit, with its scalar steps as Python floats."""
+    return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _NORM_EPS)
+
+
+def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray, norm=_rms_norm) -> np.ndarray:
+    """ReLU MLP of the normed rows; the normed and hidden blocks are freed as soon as used."""
+    hidden = norm(x) @ w_in
     return np.maximum(hidden, 0.0, out=hidden) @ w_out
 
 
@@ -371,58 +369,56 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     """Greedy decode against the (possibly masked) cache, which is not modified.
 
     Token 0 is the argmax of first_logits (computed by prefill); each further
-    token comes from one forward pass whose keys/values every layer keeps in a
-    buffer of generated rows beside the caller's cache, so decoding twice from
-    one cache gives the same result. Per forward and layer, the head-averaged
-    attention mass landing on visual vs text PROMPT positions is recorded.
+    token comes from one forward pass, whose layer-steps project Q, K and V with
+    one matmul and keep K and V in split-head buffers beside the caller's cache,
+    so decoding twice from one cache gives the same result. Per forward and
+    layer, the head-averaged attention mass on visual vs text PROMPT positions
+    is recorded.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if len(cache.k) != model.layers:
         raise ValueError("cache and model disagree on layer count")
-    tokens = [int(np.argmax(first_logits))]
-    logits_rows = [np.asarray(first_logits, dtype=np.float64)]
-    attn_split = np.zeros((steps - 1, model.layers, 2))
-    gen_k = np.empty((model.layers, steps - 1, model.d_model))
-    gen_v = np.empty((model.layers, steps - 1, model.d_model))
-    scale = math.sqrt(model.head_dim)
-    for s in range(steps - 1):
-        pos = cache.prompt_len + s
-        x = model.embed[tokens[-1] % model.vocab] + sinusoidal_positions(
-            np.array([pos]), model.d_model
-        )[0]
-        for layer in range(model.layers):
-            h = _rms_norm(x[None, :])
-            q = _split_heads(h @ model.wq[layer], model.heads)
-            gen_k[layer, s] = (h @ model.wk[layer])[0]
-            gen_v[layer, s] = (h @ model.wv[layer])[0]
-            c = cache.k[layer].shape[0]
-            n_vis = c - cache.text_len  # cached entries [:n_vis] are visual, the rest text
-            k_c = _split_heads(cache.k[layer], model.heads)
-            k_g = _split_heads(gen_k[layer, : s + 1], model.heads)
-            scores = np.concatenate(
-                [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
-            )[:, 0, :] / scale
+    if np.shape(first_logits) != (model.vocab,):
+        raise ValueError(f"first_logits must have shape ({model.vocab},)")
+    heads, head_dim, d, gen = model.heads, model.head_dim, model.d_model, steps - 1
+    logits = np.empty((steps, model.vocab))  # row s produces token s, its argmax
+    logits[0] = first_logits
+    attn_split = np.empty((gen, model.layers, 2))
+    positions = sinusoidal_positions(np.arange(gen) + cache.prompt_len, d)
+    scale = math.sqrt(head_dim)
+    counts = cache.entry_counts()
+    # per layer: cached entries, their visual/text split, split-head K^T and V, generated K/V
+    layers = [(c, np.array([0, c - cache.text_len]), _split_heads(k, heads).transpose(0, 2, 1),
+               _split_heads(v, heads), np.empty((2, heads, gen, head_dim)))
+              for c, k, v in zip(counts, cache.k, cache.v)]
+    scores = np.empty(heads * (max(counts) + gen))
+    for s in range(gen):
+        x = model.embed[np.argmax(logits[s])] + positions[s]
+        for layer, (c, split, k_c, v_c, gen_kv) in enumerate(layers):
+            qkv = _rms_row(x) @ model.w_qkv[layer]
+            gen_kv[:, :, s] = qkv[d:].reshape(2, heads, head_dim)
+            q = qkv[:d].reshape(heads, 1, head_dim)
+            row = scores[: heads * (c + s + 1)].reshape(heads, 1, c + s + 1)
+            np.matmul(q, k_c, out=row[:, :, :c])
+            np.matmul(q, gen_kv[0, :, : s + 1].transpose(0, 2, 1), out=row[:, :, c:])
+            p = row[:, 0]
+            p /= scale
             if layer >= cache.mask_from:
-                scores[:, :n_vis] = -np.inf
-            scores -= scores.max(axis=-1, keepdims=True)
-            p = np.exp(scores)
-            p /= p.sum(axis=-1, keepdims=True)
-            head_mean = p[:, :c].mean(axis=0)
-            attn_split[s, layer, 0] = head_mean[:n_vis].sum()
-            attn_split[s, layer, 1] = head_mean[n_vis:].sum()
-            out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
-            out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
-            x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]
-            x = x + _mlp(x[None, :], model.w_in[layer], model.w_out[layer])[0]
-        logits = _rms_norm(x[None, :])[0] @ model.unembed
-        tokens.append(int(np.argmax(logits)))
-        logits_rows.append(logits)
-    return DecodeOutput(
-        tokens=np.array(tokens, dtype=np.int64),
-        logits=np.stack(logits_rows),
-        attn_split=attn_split,
-    )
+                p[:, : split[1]] = -np.inf
+            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=-1, keepdims=True)
+            np.add.reduceat(np.add.reduce(p[:, :c], axis=0), split, out=attn_split[s, layer])
+            out = p[:, None, :c] @ v_c
+            out += p[:, None, c:] @ gen_kv[1, :, : s + 1]
+            x += out.reshape(d) @ model.wo[layer]
+            x += _mlp(x, model.w_in[layer], model.w_out[layer], _rms_row)
+        np.matmul(_rms_row(x), model.unembed, out=logits[s + 1])
+    attn_split /= heads  # the loop summed the heads' masses
+    # reduceat has no empty segment: a layer with no visual entry got its first text entry
+    attn_split[:, [c == cache.text_len for c in counts], 0] = 0.0
+    return DecodeOutput(tokens=logits.argmax(axis=1), logits=logits, attn_split=attn_split)
 
 
 def attention_ratio_trace(out: DecodeOutput) -> np.ndarray:

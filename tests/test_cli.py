@@ -240,6 +240,22 @@ class TestSweep:
             assert ((serial / f"point_{i:03d}" / "report.json").read_bytes()
                     == (parallel / f"point_{i:03d}" / "report.json").read_bytes())
 
+    def test_toy_sweep_matches_across_thread_counts(self, data_dir, config_path, tmp_path,
+                                                    monkeypatch):
+        # without --analytic every point runs the toy model, decode included, on its thread
+        args = ["sweep", "--config", str(config_path),
+                "--input", str(data_dir / "video.mebf"),
+                "--text", str(data_dir / "text.mebf"),
+                "--param", "r=0.3,0.6", "--param", "alpha=0.4,0.8", "--steps", "6"]
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("METOK_THREADS", threads)
+            outs.append(tmp_path / f"threads_{threads}")
+            assert main(args + ["--out", str(outs[-1])]) == 0
+        names = ["summary.csv"] + [f"point_{i:03d}/report.json" for i in range(4)]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_invalid_point_fails_before_any_point_runs(self, data_dir, config_path, tmp_path):
         # s1=5 exceeds the config's s2=3, but the valid point s1=2 comes first
         out = tmp_path / "sw"

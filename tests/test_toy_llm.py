@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metok import toy_llm
 from metok.data_io import RunConfig, TextEmbedding, config_with, gen_synthetic
@@ -23,6 +26,7 @@ from metok.toy_llm import (
     _causal_attention,
     _causal_exp,
     _rms_norm,
+    _rms_row,
     _split_heads,
     _upper_tile,
     apply_kv_policy,
@@ -154,6 +158,35 @@ class TestInitModel:
     def test_head_dim(self):
         m = init_model(RunConfig(layers=1, heads=4, d_model=64))
         assert m.head_dim == 16
+
+    def test_weight_stream_is_pinned(self):
+        # sha256 of every weight in draw order: embed, then per layer wq, wk, wv,
+        # wo, w_in, w_out, then unembed; computed when each weight had its own array
+        model = init_model(RunConfig(layers=2, heads=2, d_model=16, seed=3))
+        digest = hashlib.sha256(model.embed.tobytes())
+        for layer in range(model.layers):
+            for w in (model.wq, model.wk, model.wv, model.wo, model.w_in, model.w_out):
+                digest.update(np.ascontiguousarray(w[layer]).tobytes())
+        digest.update(model.unembed.tobytes())
+        assert digest.hexdigest() == (
+            "a0acf918a90de9e7f8c6e69485a44464c6a452a5a7d5f685f2e82fafdb40a8a6")
+
+    def test_qkv_weights_are_views_of_one_block(self):
+        model = init_model(RunConfig(layers=2, heads=2, d_model=16, seed=3))
+        for layer in range(model.layers):
+            block = model.w_qkv[layer]
+            assert block.shape == (16, 48)
+            for i, w in enumerate((model.wq, model.wk, model.wv)):
+                assert np.shares_memory(w[layer], block)
+                assert np.array_equal(w[layer], block[:, 16 * i : 16 * (i + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=256),
+       exponent=st.floats(-150.0, 150.0), zero=st.booleans())
+def test_row_norm_bit_identical_to_batched_norm(values, exponent, zero):
+    x = np.zeros(len(values)) if zero else np.array(values) * 10.0**exponent
+    assert np.array_equal(_rms_row(x), _rms_norm(x[None])[0])
 
 
 class TestPrefill:
@@ -469,6 +502,95 @@ class TestKvPolicyAndDecode:
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 9, res.final_logits)
         assert out.tokens.shape == (9,)
         assert out.logits.shape[0] == 9
+
+    @pytest.mark.parametrize("shape", [(255,), (257,), (1, 256), ()])
+    def test_first_logits_shape_checked_before_any_forward(self, shape, monkeypatch):
+        model, res, sched = self._prefilled()
+
+        def forward(*args):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(toy_llm, "_rms_row", forward)
+        with pytest.raises(ValueError, match="first_logits"):
+            decode(model, apply_kv_policy(res.cache, sched.l1), 4, np.zeros(shape))
+
+
+def reference_decode(model, cache, steps, first_logits):
+    """Per-head decode as it ran before the fused layer-step: three projections,
+    split-head views of whole-width buffers, concatenated scores, head-mean sums."""
+    tokens = [int(np.argmax(first_logits))]
+    logits_rows = [np.asarray(first_logits, dtype=np.float64)]
+    attn_split = np.zeros((steps - 1, model.layers, 2))
+    gen_k = np.empty((model.layers, steps - 1, model.d_model))
+    gen_v = np.empty((model.layers, steps - 1, model.d_model))
+    scale = math.sqrt(model.head_dim)
+    for s in range(steps - 1):
+        pos = cache.prompt_len + s
+        x = model.embed[tokens[-1] % model.vocab] + sinusoidal_positions(
+            np.array([pos]), model.d_model
+        )[0]
+        for layer in range(model.layers):
+            h = _rms_norm(x[None, :])
+            q = _split_heads(h @ model.wq[layer], model.heads)
+            gen_k[layer, s] = (h @ model.wk[layer])[0]
+            gen_v[layer, s] = (h @ model.wv[layer])[0]
+            c = cache.k[layer].shape[0]
+            n_vis = c - cache.text_len  # cached entries [:n_vis] are visual, the rest text
+            k_c = _split_heads(cache.k[layer], model.heads)
+            k_g = _split_heads(gen_k[layer, : s + 1], model.heads)
+            scores = np.concatenate(
+                [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
+            )[:, 0, :] / scale
+            if layer >= cache.mask_from:
+                scores[:, :n_vis] = -np.inf
+            scores -= scores.max(axis=-1, keepdims=True)
+            p = np.exp(scores)
+            p /= p.sum(axis=-1, keepdims=True)
+            head_mean = p[:, :c].mean(axis=0)
+            attn_split[s, layer, 0] = head_mean[:n_vis].sum()
+            attn_split[s, layer, 1] = head_mean[n_vis:].sum()
+            out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
+            out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
+            x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]
+            hidden = _rms_norm(x[None, :]) @ model.w_in[layer]
+            x = x + (np.maximum(hidden, 0.0) @ model.w_out[layer])[0]
+        logits = _rms_norm(x[None, :])[0] @ model.unembed
+        tokens.append(int(np.argmax(logits)))
+        logits_rows.append(logits)
+    return toy_llm.DecodeOutput(
+        tokens=np.array(tokens, dtype=np.int64),
+        logits=np.stack(logits_rows),
+        attn_split=attn_split,
+    )
+
+
+def reference_cache(kind, heads, d_model, layers=4):
+    """A model and a prefilled cache: visual entries masked from layer 2, dropped
+    from layer 2, or dropped from every layer (text only)."""
+    model = init_model(RunConfig(layers=layers, heads=heads, d_model=d_model, seed=heads + d_model))
+    inp = build_prefill_input(model, make_stream(10, 5, 8, seed=3), make_text(3, 8, seed=4))
+    sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=layers,
+                          n_key=10, n_nonkey=5)
+    res = prefill(model, inp, sched)
+    cache = {"masked": dataclasses.replace(res.cache, mask_from=2),
+             "dropped": apply_kv_policy(res.cache, 2),
+             "text_only": apply_kv_policy(res.cache, 0)}[kind]
+    return model, cache, res.final_logits
+
+
+@pytest.mark.parametrize("steps", [1, 2, 17])
+@pytest.mark.parametrize("kind", ["masked", "dropped", "text_only"])
+@pytest.mark.parametrize("heads, d_model", [(1, 8), (2, 16), (4, 16), (4, 4), (1, 1)])
+def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
+    # (4, 4) and (1, 1) have head_dim 1
+    model, cache, first_logits = reference_cache(kind, heads, d_model)
+    out = decode(model, cache, steps, first_logits)
+    want = reference_decode(model, cache, steps, first_logits)
+    assert np.array_equal(out.tokens, want.tokens)
+    for name in ("logits", "attn_split"):
+        got, ref = getattr(out, name), getattr(want, name)
+        assert got.shape == ref.shape
+        assert float(np.max(np.abs(got - ref), initial=0.0)) <= 1e-12
 
 
 # One toy simulation; prints digests of both decodes, the BLAS thread count
