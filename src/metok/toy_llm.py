@@ -10,13 +10,14 @@ Each layer's Q, K and V weights are the column blocks of one (d, 3d) array.
 Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
-sequence; the text prompt, the last text_len rows, is never pruned. Causal
-attention runs over blocks of query rows with q pre-scaled by 1/sqrt(head_dim),
-so no (heads, n, n) score tensor is ever built, and softmax is normalised after
-P·V. Heads run in chunks, at most one per CPU the process may use, on one
-reused score workspace; the result is bit-identical to one thread's. The final
-layer runs only the last prompt row, the one final_logits reads, so the
-executed work is below the counted 4*n^2*d attention and MLP terms.
+sequence; the text prompt, the last text_len rows, is never pruned. Prefill
+uses every CPU the process may use. Causal attention runs as (head, 256-row
+query block) tasks, each scored into its worker's own (block, n) workspace (q
+pre-scaled, softmax normalised after P·V), so no (heads, n, n) tensor is built.
+RMS norm, the projections, Wo and the MLP run in fixed pieces of 256-511 rows.
+Buffers are allocated by the calling thread and the bits do not depend on the
+CPU count. The final layer runs only the last prompt row, so the executed work
+is below the counted 4*n^2*d attention terms.
 A decode layer-step is one fused Q/K/V matmul plus ~25 small numpy calls; its
 floor is streaming the float64 weights (19 MB a forward at d_model 128, 12 layers).
 The decode-stage policy drops cached visual entries from a given layer upward
@@ -32,7 +33,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +56,12 @@ _PROJECTOR_SALT = 0x56495350
 # differ across block sizes by float summation order, so one constant keeps
 # every run bit-reproducible.
 _QBLOCK = 256
-# Fewest score-workspace elements (1 MiB) per head chunk; smaller ones cost more than they save.
+# Fewest score elements (1 MiB) per query block per attention worker; a smaller
+# hand-over costs more than it saves.
 _CHUNK_SCORES = 1 << 17
+# Row-wise layer work runs in pieces of [_ROWS, 2*_ROWS) rows, where a gemm of a
+# row piece gives the bits of those rows of the whole product.
+_ROWS = 256
 
 
 @dataclass
@@ -123,8 +129,9 @@ def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
     return pe
 
 
-def _rms_norm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+def _rms_norm(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    sq = np.multiply(x, x, out=out)
+    return np.divide(x, np.sqrt(np.mean(sq, axis=-1, keepdims=True) + _NORM_EPS), out=out)
 
 
 def _rms_row(x: np.ndarray) -> np.ndarray:
@@ -132,10 +139,36 @@ def _rms_row(x: np.ndarray) -> np.ndarray:
     return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _NORM_EPS)
 
 
-def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray, norm=_rms_norm) -> np.ndarray:
-    """ReLU MLP of the normed rows; the normed and hidden blocks are freed as soon as used."""
-    hidden = norm(x) @ w_in
-    return np.maximum(hidden, 0.0, out=hidden) @ w_out
+def _norm_project(x: np.ndarray, weights: tuple, q_scale: float) -> list[np.ndarray]:
+    """Q (times q_scale), K and V of the RMS-normed rows of x, in row pieces."""
+    h, qkv = np.empty_like(x), [np.empty((len(x), w.shape[1])) for w in weights]
+
+    def rows(r: slice) -> None:
+        _rms_norm(x[r], out=h[r])
+        for w, out in zip(weights, qkv):
+            np.matmul(h[r], w, out=out[r])
+        qkv[0][r] *= q_scale
+
+    _by_rows(len(x), rows)
+    return qkv
+
+
+def _add_product(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)  # x + a @ w, in row pieces
+    _by_rows(len(x), lambda r: np.add(np.matmul(a[r], w, out=out[r]), x[r], out=out[r]))
+    return out
+
+
+def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
+    """x plus the ReLU MLP of its RMS-normed rows, in row pieces; the normed rows borrow out's."""
+    out, hidden = np.empty_like(x), np.empty((len(x), w_in.shape[1]))
+
+    def rows(r: slice) -> None:
+        h = np.matmul(_rms_norm(x[r], out=out[r]), w_in, out=hidden[r])
+        np.add(np.matmul(np.maximum(h, 0.0, out=h), w_out, out=out[r]), x[r], out=out[r])
+
+    _by_rows(len(x), rows)
+    return out
 
 
 @dataclass
@@ -228,38 +261,68 @@ def _head_pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_name_prefix="metok-heads")
 
 
+def _fan_out(work, tasks: list, workers: int) -> None:
+    """work(slot, task) for every task, pulled in order by `workers` threads, slot 0 the caller's.
+
+    Pulling, not a fixed share per thread, keeps every CPU busy when one runs slow.
+    """
+    todo = queue.SimpleQueue()
+    for task in tasks:
+        todo.put(task)
+
+    def run(slot: int) -> None:
+        while True:
+            try:
+                task = todo.get_nowait()
+            except queue.Empty:
+                return
+            work(slot, task)
+
+    pending = [_head_pool().submit(run, slot) for slot in range(1, workers)]
+    try:
+        run(0)
+    finally:  # no task may still write into the caller's buffers once this call has ended
+        wait(pending)
+    for job in pending:
+        job.result()
+
+
+def _by_rows(n: int, work) -> None:
+    """work(rows) on each piece of n rows, at most one worker per CPU; pieces depend only on n."""
+    pieces = max(1, n // _ROWS)
+    if pieces == 1:  # on the caller's thread
+        return work(slice(None))
+    rows = [slice(p * n // pieces, (p + 1) * n // pieces) for p in range(pieces)]
+    _fan_out(lambda _, r: work(r), rows, min(_usable_cpus(), pieces))
+
+
 def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
     """(n-first, heads*head_dim) causal attention of split-head query rows [first:n], in blocks.
 
-    Working memory is one (heads, _QBLOCK, n) score workspace instead of a
-    (heads, n, n) tensor; each block reads only the keys it can see. Softmax
-    is normalised after P·V, on the small (heads, rows, head_dim) output.
-    Heads run in contiguous chunks, at most one per usable CPU, the first on
-    the caller's thread; no head's arithmetic depends on its chunk.
+    At most one worker per usable CPU and per head, the first on the caller's
+    thread, pulls (head, query block) tasks and scores each into its own
+    (_QBLOCK, n) workspace, reading only the keys the block can see. P·V goes
+    straight into the output and is normalised there. No task's arithmetic
+    depends on its worker.
     """
     heads, n, head_dim = q.shape
     block = min(_QBLOCK, n - first)
     tile = _upper_tile(block)
-    scores = np.empty((heads, block, n))
+    workers = max(1, min(_usable_cpus(), heads, heads * block * n // _CHUNK_SCORES))
+    scores = np.empty((workers, 1, block, n))
     out = np.empty((n - first, heads, head_dim))
 
-    def attend(h0: int, h1: int) -> None:  # heads [h0:h1] into their slots of out
-        for start in range(first, n, block):
-            stop = min(start + block, n)
-            e = _causal_exp(q[h0:h1], k[h0:h1], start, stop, tile,
-                            scores[h0:h1, : stop - start, :stop])
-            pv = e @ v[h0:h1, :stop]
-            pv /= e.sum(axis=-1, keepdims=True)
-            out[start - first : stop - first, h0:h1] = pv.transpose(1, 0, 2)
+    def attend(slot: int, task: tuple[int, int]) -> None:  # one head's block into its slots of out
+        h, start = task
+        stop = min(start + block, n)
+        e = _causal_exp(q[h : h + 1], k[h : h + 1], start, stop, tile,
+                        scores[slot, :, : stop - start, :stop])[0]
+        pv = np.matmul(e, v[h, :stop], out=out[start - first : stop - first, h])
+        pv /= e.sum(axis=-1, keepdims=True)
 
-    chunks = max(1, min(_usable_cpus(), heads, scores.size // _CHUNK_SCORES))
-    spans = [(i * heads // chunks, (i + 1) * heads // chunks) for i in range(chunks)]
-    pending = [_head_pool().submit(attend, *span) for span in spans[1:]]
-    try:
-        attend(*spans[0])
-    finally:  # no chunk may still write into out once this call has ended
-        for job in pending:
-            job.result()
+    # the widest blocks (they see the most keys) go first, so the last tasks are short
+    _fan_out(attend, [(h, start) for start in reversed(range(first, n, block))
+                      for h in range(heads)], workers)
     return out.reshape(n - first, heads * head_dim)
 
 
@@ -309,10 +372,8 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
     for layer in range(model.layers):
         # RMS-norm and the projections act row by row, so a boundary layer
         # scores from its incoming rows and keeps the survivors' projections.
-        h = _rms_norm(x)
-        q_flat = (h @ model.wq[layer]) * q_scale
-        k_flat = h @ model.wk[layer]
-        v_flat = h @ model.wv[layer]
+        q_flat, k_flat, v_flat = _norm_project(
+            x, (model.wq[layer], model.wk[layer], model.wv[layer]), q_scale)
         if layer in boundaries:
             keep = _prune_boundary(
                 sched, layer, _split_heads(q_flat, model.heads),
@@ -325,13 +386,13 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         cache.v.append(v_flat)
         first = n - 1 if layer == model.layers - 1 else 0
         # no name keeps the attention output alive into the next layer's workspace
-        x = x[first:] + _causal_attention(
+        x = _add_product(x[first:], _causal_attention(
             _split_heads(q_flat, model.heads),
             _split_heads(k_flat, model.heads),
             _split_heads(v_flat, model.heads),
             first,
-        ) @ model.wo[layer]
-        x = x + _mlp(x, model.w_in[layer], model.w_out[layer])
+        ), model.wo[layer])
+        x = _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
     return PrefillResult(cache=cache, final_logits=final_logits,
                          layer_lengths=cache.entry_counts())
@@ -413,7 +474,9 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             out = p[:, None, :c] @ v_c
             out += p[:, None, c:] @ gen_kv[1, :, : s + 1]
             x += out.reshape(d) @ model.wo[layer]
-            x += _mlp(x, model.w_in[layer], model.w_out[layer], _rms_row)
+            # inline, not _mlp: its row-piece buffers and calls cost a decode step ~3%
+            hidden = _rms_row(x) @ model.w_in[layer]
+            x += np.maximum(hidden, 0.0, out=hidden) @ model.w_out[layer]
         np.matmul(_rms_row(x), model.unembed, out=logits[s + 1])
     attn_split /= heads  # the loop summed the heads' masses
     # reduceat has no empty segment: a layer with no visual entry got its first text entry

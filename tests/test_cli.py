@@ -4,18 +4,24 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metok import cli, data_io, vision
+from metok import cli, data_io, pipeline, vision
+from metok.accounting import analytic_trace
 from metok.cli import main
 from tests.test_acceptance import GOLDEN_CRITERION_8, criterion_8_io
+from tests.test_vision import vision_runs
 
 
 @pytest.fixture()
@@ -432,6 +438,38 @@ def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
     # the toy path still materialises the plan
     with pytest.raises(AssertionError, match="avg_pool_2d called"):
         main(["simulate", *io_args, "--out", str(tmp_path / "toy"), "--steps", "2"])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(run=vision_runs(), steps=st.integers(0, 4))
+def test_compress_counts_are_the_plan_analytic_simulate_prices(run, steps):
+    """compress's stream_stats.json counts are the vision plan an analytic simulate of the
+    same inputs prices, and pricing them gives that simulate's compressed trace."""
+    frames, text, cfg = run
+    priced = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        data_io.write_embeddings(frames, tmp / "video.mebf")
+        data_io.write_embeddings(text, tmp / "text.mebf")
+        in_file = {k: v for k, v in cfg.to_dict().items() if k not in data_io.RUNTIME_FIELDS}
+        (tmp / "cfg.json").write_text(json.dumps(in_file))
+        io_args = ["--config", str(tmp / "cfg.json"), "--input", str(tmp / "video.mebf"),
+                   "--text", str(tmp / "text.mebf"), "--event-score", cfg.event_score,
+                   "--frame-reduce", cfg.frame_reduce,
+                   "--baseline-stride", str(cfg.baseline_stride)]
+        mp.setattr(pipeline, "analytic_trace",
+                   lambda *args: priced.append(args[1:3]) or analytic_trace(*args))
+        assert main(["compress", *io_args, "--out", str(tmp / "comp")]) == 0
+        assert main(["simulate", "--analytic", *io_args, "--out", str(tmp / "sim"),
+                     "--steps", str(steps)]) == 0
+        stats = json.loads((tmp / "comp" / "stream_stats.json").read_text())
+        trace = json.loads((tmp / "sim" / "trace.json").read_text())
+    counts = (stats["key_group_tokens"], stats["nonkey_group_tokens"])
+    assert priced == [counts]
+    assert sum(counts) == stats["retained_tokens"]
+    assert stats["raw_tokens"] == frames.num_frames * frames.tokens_per_frame
+    forwards = max(0, steps - 1)
+    assert asdict(analytic_trace(cfg, *counts, text.num_tokens, forwards)) == trace["compressed"]
 
 
 def test_sha256_reads_in_chunks(tmp_path):

@@ -405,20 +405,84 @@ class TestBlockedAttention:
         want = decode(model, apply_kv_policy(ref.cache, drop), 6, ref.final_logits)
         assert np.array_equal(out.tokens, want.tokens)
 
-    def test_peak_memory_below_dense_scores(self):
+    def test_peak_memory_below_dense_scores(self, monkeypatch):
+        # on 2 CPUs, 2 workers each score one head's query block at a time
+        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 2)
         heads, n_vis, m = 4, 1192, 8
         n = n_vis + m
         model = init_model(RunConfig(layers=2, heads=heads, d_model=16, seed=8))
         inp = build_prefill_input(model, make_stream(n_vis, 0, 8), make_text(m, 8))
-        block_bytes = heads * self.B * n * 8       # about 10 MB
-        dense_bytes = heads * n * n * 8             # about 46 MB
+        workspace_bytes = 2 * self.B * n * 8        # one (B, n) block per worker: about 4.9 MB
+        other_bytes = 2 * 2**20  # the (B, B) -inf tile, the (n, d) rows and cache, the MLP rows
         tracemalloc.start()
         try:
             prefill(model, inp, disabled_schedule(2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block_bytes < dense_bytes
+        assert peak < workspace_bytes + other_bytes < heads * self.B * n * 8
+
+    @pytest.mark.parametrize("n", [B - 1, B, 2 * B - 1, 2 * B, 2 * B + 17, 1100])
+    def test_prefill_bit_identical_at_any_cpu_count(self, n, monkeypatch):
+        # one boundary layer (1), then the one-row final layer (2)
+        m = 5
+        model = init_model(RunConfig(layers=3, heads=3, d_model=24, seed=n))
+        n_key = 2 * (n - m) // 3
+        inp = build_prefill_input(model, make_stream(n_key, n - m - n_key, 8, seed=n),
+                                  make_text(m, 8))
+        sched = PruneSchedule(l1=1, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=3,
+                              n_key=n_key, n_nonkey=n - m - n_key)
+        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU submits nothing
+        want = prefill(model, inp, sched)
+        monkeypatch.undo()
+        assert want.layer_lengths[0] == n and 1 < want.layer_lengths[1] < n
+        monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # hand over even the smallest call
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # workers interleave as often as they can
+        try:
+            for cpus in (2, 3, 8):
+                monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
+                got = prefill(model, inp, sched)
+                assert got.layer_lengths == want.layer_lengths
+                assert_same_cache(got.cache, want.cache)
+                assert np.array_equal(got.final_logits, want.final_logits)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _blas_name():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        return "this BLAS"
+
+
+@pytest.mark.parametrize("k_dim, n_out, column_block", [
+    (128, 128, True),   # a Q/K/V projection: d_model in, a column block of w_qkv
+    (128, 512, False),  # the MLP's w_in
+    (128, 128, False),  # Wo
+    (512, 128, False),  # the MLP's w_out: K is the hidden width
+])
+def test_gemm_row_pieces_give_the_rows_of_the_whole_product(k_dim, n_out, column_block):
+    """Prefill's row pieces (toy_llm._by_rows) give its old bits only if a gemm of a
+    piece of >= _ROWS rows equals those rows of the whole product, bit for bit."""
+    rng = Rng64(k_dim + n_out)
+    w = rng.next_unit_array(k_dim * 3 * n_out).reshape(k_dim, 3 * n_out)
+    w = w[:, n_out : 2 * n_out] if column_block else np.ascontiguousarray(w[:, :n_out])
+    for n in (2 * toy_llm._ROWS, 2 * toy_llm._ROWS + 17, 1100, 2080):  # 2 to 8 pieces
+        a = rng.next_unit_array(n * k_dim).reshape(n, k_dim)
+        whole = a @ w
+        pieces = []
+        toy_llm._by_rows(n, pieces.append)  # the pieces prefill cuts n rows into
+        for r in pieces:
+            rows = len(whole[r])
+            assert rows >= toy_llm._ROWS
+            assert np.array_equal(a[r] @ w, whole[r]), (
+                f"{_blas_name()}: a {rows}-row piece of an ({n}, {k_dim}) @ ({k_dim}, "
+                f"{n_out}) gemm differs from those rows of the whole product, so prefill's "
+                "row pieces would change its bits")
 
 
 class TestKvPolicyAndDecode:
