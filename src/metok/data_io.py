@@ -9,9 +9,10 @@ Embeddings travel in MEBF files (little-endian):
                 frame-major, row-major within each frame grid
     type 2:     u32 d, u32 M, then d float32, then M u32 prompt token ids
 
-Storage is 32-bit. A frame record is read as a copy-on-write map, and
-frame_grid converts one frame at a time to float64, so a write/read round trip
-is lossless modulo one 64->32->64 quantization.
+Storage is 32-bit. A frame record's payload is read once, in chunks, to check it
+and record its frame means, then mapped read-only; frame_grid converts one frame
+at a time to float64, so a write/read round trip is lossless modulo one
+64->32->64 quantization.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import struct
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import BinaryIO, Iterator, get_args, get_origin, get_type_hints
 
@@ -57,6 +58,7 @@ REC_TEXT = 2
 MAX_ELEMENTS = 1 << 31
 MAX_TEXT_ELEMENTS = 1 << 20
 MAX_FRAME_ELEMENTS = 1 << 24
+READ_CHUNK_BYTES = 1 << 19  # bytes of whole frames, at least one, per read of a frame payload
 
 STAGES = ("vision", "prefill", "decode")
 EVENT_SCORES = ("mean", "max")
@@ -88,20 +90,23 @@ class ConfigError(ValueError):
 class FrameEmbeddings:
     """Visual tokens for one video: (T, h*w, d) values plus the token-grid shape.
 
-    tokens is kept as given when float32 (the copy-on-write map read_embeddings
-    makes of a file, or gen_synthetic's video) and held as float64 otherwise.
-    Readers take one frame at a time through frame_grid, or reduce tokens
-    directly with a float64 accumulator (dtype=np.float64); neither makes a
-    float64 copy of the whole video.
+    tokens is kept as given when float32 (the read-only map read_embeddings
+    makes of a file, or gen_synthetic's video) and held as float64 otherwise,
+    behind a read-only view. frame_means (T, d) is each frame's float64 token
+    mean, of the tokens at construction. Readers take one frame at a time
+    through frame_grid; none makes a float64 copy of the whole video.
     """
 
     tokens: np.ndarray
     grid_h: int
     grid_w: int
+    frame_means: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, sums: np.ndarray | None = None):
         if not (isinstance(self.tokens, np.ndarray) and self.tokens.dtype == np.float32):
             self.tokens = np.asarray(self.tokens, dtype=np.float64)
+        self.tokens = self.tokens.view()
+        self.tokens.flags.writeable = False
         if self.tokens.ndim != 3:
             raise ValueError("tokens must have shape (frames, tokens_per_frame, dim)")
         if self.grid_h < 1 or self.grid_w < 1:
@@ -112,8 +117,25 @@ class FrameEmbeddings:
             )
         if self.tokens.shape[0] < 1 or self.tokens.shape[2] < 1:
             raise ValueError("need at least one frame and one embedding dim")
-        if not all(np.isfinite(self.tokens[i]).all() for i in range(self.num_frames)):
+        if sums is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is judged below
+                sums = np.add.reduce(self.tokens, axis=1, dtype=np.float64)
+        # finite values have a finite float64 sum unless float64 ones overflow it (float32
+        # ones cannot), so only a frame whose sum is not finite has its tokens checked
+        bad = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+        if not all(np.isfinite(self.tokens[i]).all() for i in bad):
             raise ValueError("non-finite embedding values")
+        self.frame_means = sums / self.tokens_per_frame
+        self.frame_means.flags.writeable = False
+
+    @classmethod
+    def _from_sums(cls, tokens: np.ndarray, grid_h: int, grid_w: int,
+                   sums: np.ndarray) -> FrameEmbeddings:
+        """The record of tokens whose (T, d) float64 frame sums the caller has taken."""
+        record = cls.__new__(cls)
+        record.tokens, record.grid_h, record.grid_w = tokens, grid_h, grid_w
+        record.__post_init__(sums)
+        return record
 
     @property
     def num_frames(self) -> int:
@@ -209,8 +231,9 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
     """Parse an MEBF file into the record it holds.
 
     The header is checked against the file size before any payload byte is
-    read, and every malformed file raises an MebfError. A frame record's tokens
-    map the payload copy-on-write: writes to them never reach the file.
+    read, and every malformed file raises an MebfError. A frame payload is then
+    read once, READ_CHUNK_BYTES of whole frames at a time, into the float64
+    frame sums that check it and give its frame means, and mapped read-only.
     """
     size = Path(path).stat().st_size
     with open(path, "rb") as fh:
@@ -242,11 +265,21 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         try:  # values the header cannot vouch for, such as non-finite or zero-norm ones
             if rec_type == REC_FRAMES:
                 t, h, w, d = dims
-                tokens = np.memmap(fh, "<f4", mode="c", offset=fh.tell(), shape=(t, h * w, d))
-                return FrameEmbeddings(tokens=tokens, grid_h=h, grid_w=w)
+                offset, sums = fh.tell(), np.empty((t, d))
+                chunk = np.empty((min(t, max(1, READ_CHUNK_BYTES // (4 * h * w * d))), h * w, d), "<f4")
+                for f in range(0, t, len(chunk)):
+                    frames = chunk[: t - f]
+                    if fh.readinto(frames) != frames.nbytes:
+                        raise TruncatedPayloadError(f"{path}: payload ended early")
+                    with np.errstate(invalid="ignore"):  # +inf and -inf sum to NaN, refused below
+                        np.add.reduce(frames, axis=1, dtype=np.float64, out=sums[f : f + len(frames)])
+                tokens = np.memmap(fh, "<f4", mode="r", offset=offset, shape=(t, h * w, d))
+                return FrameEmbeddings._from_sums(tokens, h, w, sums)
             vector = np.fromfile(fh, "<f4", dims[0]).astype(np.float64)
             ids = np.fromfile(fh, "<u4", dims[1]).astype(np.int64)
             return TextEmbedding(vector=vector, token_ids=ids)
+        except MebfError:
+            raise
         except ValueError as e:
             raise MebfError(f"{path}: {e}") from e
 

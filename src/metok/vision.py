@@ -20,7 +20,7 @@ from itertools import pairwise
 import numpy as np
 
 from .data_io import EVENT_SCORES, FRAME_REDUCES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
-from .kernels import avg_pool_2d, ceil_scaled, cosine, top_k_stable
+from .kernels import avg_pool_2d, ceil_scaled, cosine, cosines, top_k_stable
 
 __all__ = [
     "EventPartition",
@@ -41,7 +41,7 @@ class EventPartition:
     """Contiguous event structure over [0, T) plus relevance scores and key flags.
 
     boundaries[i] = j means there is a cut between frames j and j+1.
-    segment_events records each frame's token mean; score_relevance and
+    segment_events records the video's frame means; score_relevance and
     select_keys return copies with the scores and then the key flags set.
     """
 
@@ -73,15 +73,15 @@ class EventPartition:
         return [range(s, e) for s, e in zip(starts, ends)]
 
 
-def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> tuple[np.ndarray, np.ndarray]:
-    """(T, d) frame token means, one float64 reduction over the stored tokens, and
-    adjacent cosines of the means or of flat frames read two at a time."""
+def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
+    """Adjacent-frame cosines: of the frame means the record holds, reading no token,
+    or of flat frames read two at a time."""
     if frame_reduce not in FRAME_REDUCES:
         raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
-    means = np.asarray(v.tokens.mean(axis=1, dtype=np.float64))
-    rows = means if frame_reduce == "mean" else (
-        v.frame_grid(i).reshape(-1) for i in range(v.num_frames))
-    return means, np.array([cosine(a, b) for a, b in pairwise(rows)])
+    if frame_reduce == "mean":
+        return cosines(v.frame_means[:-1], v.frame_means[1:])
+    flat = (v.frame_grid(i).reshape(-1) for i in range(v.num_frames))
+    return np.array([cosine(a, b) for a, b in pairwise(flat)])
 
 
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:
@@ -94,9 +94,9 @@ def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> Ev
     t = v.num_frames
     if not 1 <= k <= t:
         raise ConfigError(f"need 1 <= k <= {t}, got k={k}")
-    means, sims = _adjacent_sims(v, frame_reduce)
-    cuts = top_k_stable(-sims, k - 1)
-    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts), frame_means=means)
+    cuts = top_k_stable(-_adjacent_sims(v, frame_reduce), k - 1)
+    return EventPartition(num_frames=t, boundaries=tuple(int(c) for c in cuts),
+                          frame_means=v.frame_means)
 
 
 def score_relevance(text: TextEmbedding, partition: EventPartition,
@@ -114,7 +114,7 @@ def score_relevance(text: TextEmbedding, partition: EventPartition,
         raise ValueError("frame means not recorded; segment the video with segment_events")
     if means.shape[1] != text.dim:
         raise ValueError(f"embedding dims differ: frames {means.shape[1]}, text {text.dim}")
-    frame_scores = np.array([cosine(m, text.vector) for m in means])
+    frame_scores = cosines(means, np.broadcast_to(text.vector, means.shape))
     agg = np.mean if event_score == "mean" else np.max
     event_scores = np.array([float(agg(frame_scores[ev.start : ev.stop]))
                              for ev in partition.events])

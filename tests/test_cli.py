@@ -347,7 +347,9 @@ class TestExitCodes:
 
     def test_zero_norm_frame(self, data_dir, config_path, tmp_path):
         video = data_io.read_embeddings(data_dir / "video.mebf")
-        video.tokens[5] = 0.0
+        tokens = np.array(video.tokens)
+        tokens[5] = 0.0
+        video = data_io.FrameEmbeddings(tokens=tokens, grid_h=video.grid_h, grid_w=video.grid_w)
         data_io.write_embeddings(video, data_dir / "video.mebf")
         assert run_sim(data_dir, config_path, tmp_path / "o") == 2
 
@@ -582,6 +584,49 @@ def test_zero_norm_middle_frame_in_the_file(data_dir, config_path, tmp_path, ext
     video.write_bytes(bytes(data))
     assert run_sim(data_dir, config_path, tmp_path / "o", extra) == 2
     assert not (tmp_path / "o").exists()
+
+
+class _UnreadableTokens:
+    """A read record's token map that keeps its shape and fails on any other use."""
+
+    def __init__(self, tokens):
+        self.shape, self.ndim, self.dtype = tokens.shape, tokens.ndim, tokens.dtype
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the plan path used tokens.{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"the plan path read tokens[{key!r}]")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the plan path read the tokens as an array")
+
+
+def test_the_plan_path_reads_no_token(data_dir, config_path, tmp_path, monkeypatch):
+    def read_unreadable(path):
+        record = data_io.read_embeddings(path)
+        if isinstance(record, data_io.FrameEmbeddings):
+            record.tokens = _UnreadableTokens(record.tokens)
+        return record
+
+    frames, text = (read_unreadable(data_dir / name) for name in ("video.mebf", "text.mebf"))
+    cfg = data_io.load_config(config_path)
+    for disabled in ((), ("vision",)):
+        vision.plan_vision_stage(frames, text, data_io.config_with(cfg, disable_stages=disabled))
+    with pytest.raises(AssertionError, match="plan path"):
+        frames.frame_grid(0)
+    io_args = ["--config", str(config_path), "--input", str(data_dir / "video.mebf"),
+               "--text", str(data_dir / "text.mebf")]
+
+    def artifacts(command, out):
+        assert main([*command, *io_args, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["artifacts"]
+
+    commands = (["simulate", "--analytic"], ["compress"])
+    want = [artifacts(command, tmp_path / f"read{i}") for i, command in enumerate(commands)]
+    monkeypatch.setattr(cli, "read_embeddings", read_unreadable)
+    got = [artifacts(command, tmp_path / f"unreadable{i}") for i, command in enumerate(commands)]
+    assert got == want
 
 
 @pytest.mark.parametrize("extra", [[], ["--analytic"]], ids=["toy", "analytic"])

@@ -198,7 +198,7 @@ class TestMebfErrors:
 class TestStreamingMemory:
     """A frame record is a float32 map of the file, converted to float64 a frame at a time."""
 
-    def test_read_maps_the_file_copy_on_write(self, tmp_path):
+    def test_read_maps_the_file_read_only(self, tmp_path):
         emb, _ = gen_synthetic(3, 2, 2, 4, seed=2)
         p = tmp_path / "v.mebf"
         write_embeddings(emb, p)
@@ -206,8 +206,8 @@ class TestStreamingMemory:
         back = read_embeddings(p)
         assert isinstance(back.tokens, np.memmap) and back.tokens.dtype == np.float32
         assert back.frame_grid(1).dtype == np.float64
-        back.tokens[1] = 0.0
-        assert not back.frame_grid(1).any()
+        with pytest.raises(ValueError, match="read-only"):
+            back.tokens[1] = 0.0
         assert p.read_bytes() == before
 
     def test_write_peaks_at_one_frame(self, tmp_path):
@@ -258,6 +258,89 @@ class TestStreamingMemory:
             tracemalloc.stop()
         assert peak <= 2 * frame_bytes + (1 << 20)
         assert stats["num_events"] == 6
+
+
+def _write_frames(path, tokens):
+    """Write float32 tokens (T, n, d) as an MEBF frame record on a 1 x n grid, values as given."""
+    t, n, d = tokens.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sBB4I", b"MEBF", 1, 1, t, 1, n, d))
+        tokens.astype("<f4").tofile(fh)
+
+
+def _assert_means_bit_identical(record, tokens):
+    want = np.asarray(tokens).mean(axis=1, dtype=np.float64)
+    assert record.frame_means.dtype == np.float64
+    assert record.frame_means.tobytes() == want.tobytes()
+
+
+class TestFrameMeans:
+    """A record holds tokens.mean(axis=1, dtype=np.float64), taken once, read or in memory."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 40), st.integers(1, 9)),
+           chunk_bytes=st.integers(1, 4000), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-30.0, 30.0))
+    def test_read_and_in_memory_means_are_the_token_means(self, tmp_path, monkeypatch, shape,
+                                                          chunk_bytes, seed, scale):
+        # chunk_bytes below one frame reads a frame at a time; above, T is rarely a multiple
+        monkeypatch.setattr(data_io, "READ_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(seed)
+        tokens = rng.standard_normal(shape) * 10.0**scale
+        p = tmp_path / "v.mebf"
+        _write_frames(p, tokens.astype(np.float32))
+        read = read_embeddings(p)
+        _assert_means_bit_identical(read, tokens.astype(np.float32))
+        _assert_means_bit_identical(read, read.tokens)
+        for values in (tokens.astype(np.float32), tokens):
+            _assert_means_bit_identical(FrameEmbeddings(values, 1, shape[1]), values)
+
+    @pytest.mark.parametrize("t, d", [(3, 140_000), (7, 43_690)],
+                             ids=["frame-over-a-chunk", "three-frames-a-chunk"])
+    def test_read_means_at_the_default_chunk(self, tmp_path, t, d):
+        assert data_io.READ_CHUNK_BYTES == 1 << 19
+        tokens = np.random.default_rng(t).standard_normal((t, 1, d)).astype(np.float32)
+        _write_frames(tmp_path / "v.mebf", tokens)
+        _assert_means_bit_identical(read_embeddings(tmp_path / "v.mebf"), tokens)
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    @pytest.mark.parametrize("frame", [0, 4])
+    def test_a_frame_holding_a_non_finite_value_is_refused(self, tmp_path, bad, frame):
+        tokens = np.random.default_rng(1).standard_normal((5, 6, 3)).astype(np.float32)
+        tokens[frame, 2 : 2 + len(bad), 1] = bad  # +inf and -inf in one sum give NaN
+        _write_frames(tmp_path / "v.mebf", tokens)
+        with pytest.raises(MebfError, match="non-finite"):
+            read_embeddings(tmp_path / "v.mebf")
+        for values in (tokens, tokens.astype(np.float64)):
+            with pytest.raises(ValueError, match="non-finite"):
+                FrameEmbeddings(values, 1, 6)
+
+    def test_float32_extremes_are_accepted(self, tmp_path):
+        top = np.finfo(np.float32).max
+        tokens = np.full((3, 64, 2), top, dtype=np.float32)
+        tokens[1] = -top
+        _write_frames(tmp_path / "v.mebf", tokens)
+        for record in (read_embeddings(tmp_path / "v.mebf"), FrameEmbeddings(tokens, 1, 64)):
+            assert record.frame_means.tolist() == [[top] * 2, [-top] * 2, [top] * 2]
+
+    def test_finite_float64_that_overflows_a_sum_is_accepted(self):
+        tokens = np.full((2, 4, 3), 1e308)
+        tokens[1, :, 1] = -1e308
+        record = FrameEmbeddings(tokens, 2, 2)
+        assert np.isinf(record.frame_means).all()
+        with np.errstate(over="ignore"):
+            _assert_means_bit_identical(record, tokens)
+
+    def test_tokens_and_means_are_read_only(self):
+        tokens = np.ones((2, 4, 3))
+        record = FrameEmbeddings(tokens, 2, 2)
+        for array in (record.tokens, record.frame_means):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        tokens[0] = 5.0  # the caller's own array stays writable; the means are of construction
+        assert record.frame_means.tolist() == [[1.0] * 3] * 2
 
 
 def _valid_files(tmp_path):

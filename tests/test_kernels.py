@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metok.kernels import (
     Rng64,
@@ -7,6 +9,7 @@ from metok.kernels import (
     avg_pool_2d,
     ceil_scaled,
     cosine,
+    cosines,
     top_k_stable,
 )
 
@@ -42,6 +45,33 @@ class TestCosine:
     def test_zero_norm(self):
         with pytest.raises(ZeroNormError):
             cosine(np.zeros(3), np.ones(3))
+
+
+class TestCosines:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(0, 40), d=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-6.0, 6.0), pairing=st.sampled_from(["rows", "adjacent", "one", "parallel"]))
+    def test_bit_identical_to_cosine(self, n, d, seed, scale, pairing):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n + 1, d)) * 10.0**scale
+        if pairing == "rows":
+            a, b = m[:-1], rng.standard_normal((n, d))
+        elif pairing == "adjacent":      # segment_events: a video's frame means
+            a, b = m[:-1], m[1:]
+        elif pairing == "one":           # score_relevance: every frame against the text
+            a, b = m[:-1], np.broadcast_to(rng.standard_normal(d), (n, d))
+        else:                            # cosines of +-1 up to rounding, so the clamp acts
+            a = m[:-1]
+            b = a * rng.choice([-3.0, -1.0, 0.5, 7.0], size=(n, 1))
+        want = np.array([cosine(x, y) for x, y in zip(a, b)], dtype=np.float64)
+        assert cosines(a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("zero_in", ["a", "b"])
+    def test_any_zero_norm_row_raises(self, zero_in):
+        a, b = np.ones((3, 4)), np.ones((3, 4))
+        (a if zero_in == "a" else b)[1] = 0.0
+        with pytest.raises(ZeroNormError):
+            cosines(a, b)
 
 
 class TestAvgPool2d:

@@ -86,8 +86,9 @@ class TestSegmentEvents:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_zero_norm_frame_fails_whatever_k(self, k):
-        v = frames_with_adjacent_sims([0.5, 0.5, 0.5])
-        v.tokens[2] = 0.0
+        tokens = np.array(frames_with_adjacent_sims([0.5, 0.5, 0.5]).tokens)
+        tokens[2] = 0.0
+        v = FrameEmbeddings(tokens=tokens, grid_h=1, grid_w=1)
         with pytest.raises(ZeroNormError):
             segment_events(v, k)
 
