@@ -10,7 +10,8 @@ or input file, or inputs that do not fit together); any other failure is a bug
 and surfaces as a traceback.
 A failed command writes nothing: --out and its artifacts appear only once the
 config and inputs pass every check, and a sweep writes only after every point
-has run. METOK_THREADS caps how many sweep points run at once.
+has run. A command runs only the work it writes: compress and sweep read vision
+plans, never the toy model, and diag makes the compressed run alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,8 +44,8 @@ from .data_io import (
     write_embeddings,
 )
 from .kernels import ZeroNormError
-from .pipeline import compress_stats, run_simulation
-from .toy_llm import attention_ratio_trace
+from .pipeline import compress_stats, run_simulation, toy_run
+from .toy_llm import attention_ratio_trace, init_model
 from .vision import plan_vision_stage
 
 __all__ = ["main"]
@@ -215,8 +215,8 @@ def _simulate(args, cfg, frames, text, out) -> list[Path]:
 def _diag_attention_ratio(args, cfg, frames, text, out) -> list[Path]:
     if args.steps < 2:
         raise UsageError("attention-ratio needs --steps >= 2 to record a decode forward")
-    result = run_simulation(frames, text, cfg, steps=args.steps, analytic=False)
-    ratios = attention_ratio_trace(result.decode_output)
+    _, _, decoded, _ = toy_run(frames, text, cfg, init_model(cfg), args.steps)
+    ratios = attention_ratio_trace(decoded)
     lines = ["layer,visual_ratio,text_ratio"]
     lines += [f"{layer},{vis:.12g},{txt:.12g}" for layer, (vis, txt) in enumerate(ratios)]
     csv_path = out / "attention_ratio.csv"
@@ -254,18 +254,9 @@ def _sweep(args, cfg, frames, text, out) -> list[Path]:
     points = list(itertools.product(*axes.values()))
     # every point's config is checked before any point runs
     point_cfgs = [config_with(cfg, **dict(zip(axes, point))) for point in points]
-    threads = os.environ.get("METOK_THREADS", "1")
-    try:
-        threads = max(1, int(threads))  # values below 1 mean one thread
-    except ValueError:
-        raise UsageError(f"METOK_THREADS must be an integer, got {threads!r}") from None
-
-    def point_report(point_cfg):
-        return run_simulation(frames, text, point_cfg, steps=args.steps,
-                              analytic=args.analytic).report
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(point_report, point_cfgs))
+    # a report holds counts alone, and the plan prices them exactly as the toy model measures
+    reports = [run_simulation(frames, text, point_cfg, steps=args.steps, analytic=True).report
+               for point_cfg in point_cfgs]
 
     # written only once every point has run, so a failed point leaves nothing behind
     report_paths = []
@@ -330,7 +321,8 @@ def build_parser() -> _Parser:
     _add_io_args(sweep, "sweep", _sweep)
     sweep.add_argument("--param", action="append", required=True,
                        help="axis as name=v1,v2,... (repeatable)")
-    sweep.add_argument("--analytic", action="store_true")
+    sweep.add_argument("--analytic", action="store_true",
+                       help="no effect: every sweep prices its points from the plan")
     return parser
 
 

@@ -205,7 +205,8 @@ def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> 
             "<4sBB4I", MAGIC, VERSION, REC_FRAMES,
             obj.num_frames, obj.grid_h, obj.grid_w, obj.dim,
         )
-        payload = (obj.frame_grid(i).astype("<f4") for i in range(obj.num_frames))
+        # float32 frames are written as they are; only a float64 record is converted
+        payload = (np.ascontiguousarray(frame, dtype="<f4") for frame in obj.tokens)
     elif isinstance(obj, TextEmbedding):
         header = struct.pack("<4sBB2I", MAGIC, VERSION, REC_TEXT, obj.dim, obj.num_tokens)
         payload = (obj.vector.astype("<f4"), obj.token_ids.astype("<u4"))

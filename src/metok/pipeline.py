@@ -4,9 +4,10 @@ Every simulation compares against an automatic no-compression baseline (all
 stages disabled, uniform pooling at the configured baseline stride) so each
 report is self-contained. The analytic path prices both runs from their vision
 plans, pooling no token and never touching the toy model, which is what makes
-large desk replicas cheap; compress_stats reads a plan too. The toy path
-materialises the plans into pooled streams and times each prefill here; that
-wall-clock is only printed, so the traces and the report hold counts alone.
+large desk replicas cheap; compress_stats reads a plan too. The toy path makes
+each run with toy_run on one shared model, and a caller that needs one run calls
+it alone; each prefill's wall-clock is only printed, so the traces and the
+report hold counts alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .toy_llm import (
 )
 from .vision import TokenStream, VisionPlan, plan_vision_stage, run_vision_stage
 
-__all__ = ["SimulationResult", "compress_stats", "run_simulation"]
+__all__ = ["SimulationResult", "compress_stats", "run_simulation", "toy_run"]
 
 
 @dataclass
@@ -84,11 +85,11 @@ def compress_stats(plan: VisionPlan, raw_tokens: int) -> dict:
     }
 
 
-def _toy_trace(cfg: RunConfig, model, stream: TokenStream, text: TextEmbedding,
-               steps: int) -> tuple[InferenceTrace, DecodeOutput | None, float]:
-    """The run's trace, its decode (steps >= 1) and its prefill's wall-clock in ms."""
-    n_key, n_nonkey = stream.group_counts()
-    sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
+def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model,
+            steps: int) -> tuple[TokenStream, InferenceTrace, DecodeOutput | None, float]:
+    """One toy-model run: its pooled stream, trace, decode (steps >= 1) and prefill ms."""
+    stream, _ = run_vision_stage(frames, text, cfg)
+    sched = PruneSchedule.from_config(cfg, *stream.group_counts())
     inp = build_prefill_input(model, stream, text)
     t0 = time.perf_counter()
     res = prefill(model, inp, sched)
@@ -102,7 +103,7 @@ def _toy_trace(cfg: RunConfig, model, stream: TokenStream, text: TextEmbedding,
         d_model=cfg.d_model,
         mlp_ratio=cfg.mlp_ratio,
     )
-    return trace, out, prefill_ms
+    return stream, trace, out, prefill_ms
 
 
 def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
@@ -125,11 +126,9 @@ def run_simulation(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig,
         base = baseline_trace(base_cfg, len(plan_vision_stage(frames, text, base_cfg)), m, forwards)
         stream = out = base_out = prefill_ms = None
     else:
-        stream, _ = run_vision_stage(frames, text, cfg)
-        base_stream, _ = run_vision_stage(frames, text, base_cfg)
         model = init_model(cfg)
-        compressed, out, comp_ms = _toy_trace(cfg, model, stream, text, steps)
-        base, base_out, base_ms = _toy_trace(base_cfg, model, base_stream, text, steps)
+        stream, compressed, out, comp_ms = toy_run(frames, text, cfg, model, steps)
+        _, base, base_out, base_ms = toy_run(frames, text, base_cfg, model, steps)
         prefill_ms = {"baseline": base_ms, "compressed": comp_ms}
 
     report = reduction_report(base, compressed, config=cfg.to_dict())

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from metok import pipeline
 from metok.accounting import analytic_trace, baseline_trace, reduction_report
 from metok.cli import main
 from metok.data_io import FrameEmbeddings, RunConfig, config_with, gen_synthetic
@@ -321,21 +322,29 @@ def test_criterion_8_artifacts_match_golden(tmp_path):
     assert json.dumps(trace, indent=2, sort_keys=True) + "\n" == want
 
 
-def test_criterion_8_compress_and_sweep_match_golden(tmp_path):
-    """compress's stream_stats.json and an analytic sweep's summary.csv and point reports.
+def test_criterion_8_compress_and_sweep_match_golden(tmp_path, monkeypatch):
+    """compress's stream_stats.json and a sweep's summary.csv and point reports.
 
-    None of them depends on logits, so the goldens hold on every platform.
+    None of them depends on logits, so the goldens hold on every platform. A
+    sweep prices every point from its plan, so with or without --analytic it
+    writes the same golden and never reaches the toy model.
     """
+    def no_toy_model(cfg):
+        raise AssertionError("a sweep built the toy model")
+
+    monkeypatch.setattr(pipeline, "init_model", no_toy_model)
     io_args = criterion_8_io(tmp_path)
+    sweep = ["sweep", *io_args, "--steps", "5",
+             "--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"]
     assert main(["compress", *io_args, "--out", str(tmp_path / "compress")]) == 0
-    assert main(["sweep", *io_args, "--out", str(tmp_path / "sweep"), "--analytic",
-                 "--steps", "5", "--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"]) == 0
-    for command in ("compress", "sweep"):
+    assert main([*sweep, "--out", str(tmp_path / "sweep"), "--analytic"]) == 0
+    assert main([*sweep, "--out", str(tmp_path / "sweep_plain")]) == 0
+    for out, command in (("compress", "compress"), ("sweep", "sweep"), ("sweep_plain", "sweep")):
         golden = GOLDEN_CRITERION_8 / command
         want = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
-        got = sorted(p.relative_to(tmp_path / command)
-                     for p in (tmp_path / command).rglob("*")
+        got = sorted(p.relative_to(tmp_path / out)
+                     for p in (tmp_path / out).rglob("*")
                      if p.is_file() and p.name != "manifest.json")
         assert got == want
         for rel in want:
-            assert (tmp_path / command / rel).read_bytes() == (golden / rel).read_bytes(), rel
+            assert (tmp_path / out / rel).read_bytes() == (golden / rel).read_bytes(), (out, rel)

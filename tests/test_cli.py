@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from metok import cli, data_io, pipeline, vision
 from metok.accounting import analytic_trace
 from metok.cli import main
+from metok.toy_llm import attention_ratio_trace
 from tests.test_acceptance import GOLDEN_CRITERION_8, criterion_8_io
 from tests.test_vision import vision_runs
 
@@ -213,6 +215,28 @@ class TestDiag:
             assert float(vis) == 0.0
             assert float(txt) == 1.0
 
+    def test_one_toy_run_gives_the_simulated_compressed_ratios(self, data_dir, config_path,
+                                                              tmp_path, monkeypatch):
+        calls = Counter()
+        for name in ("prefill", "decode"):
+            def counted(*args, _original=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        io = {"input": data_dir / "video.mebf", "text": data_dir / "text.mebf"}
+        out = tmp_path / "diag"
+        assert main(["diag", "attention-ratio", "--config", str(config_path),
+                     "--input", str(io["input"]), "--text", str(io["text"]),
+                     "--out", str(out), "--steps", "3"]) == 0
+        assert calls == {"prefill": 1, "decode": 1}  # the baseline run is not made
+        monkeypatch.undo()
+        frames, text = (data_io.read_embeddings(io[name]) for name in ("input", "text"))
+        result = pipeline.run_simulation(frames, text, data_io.load_config(config_path), steps=3)
+        lines = ["layer,visual_ratio,text_ratio"] + [
+            f"{layer},{vis:.12g},{txt:.12g}"
+            for layer, (vis, txt) in enumerate(attention_ratio_trace(result.decode_output))]
+        assert (out / "attention_ratio.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestSweep:
     def test_r_sweep_monotone(self, data_dir, config_path, tmp_path):
@@ -229,38 +253,6 @@ class TestSweep:
         assert reductions[0] > reductions[1] > reductions[2]
         for i in range(3):
             assert (out / f"point_{i:03d}" / "report.json").exists()
-
-    def test_parallel_matches_serial(self, data_dir, config_path, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "ser", tmp_path / "par"
-        args = ["sweep", "--config", str(config_path),
-                "--input", str(data_dir / "video.mebf"),
-                "--text", str(data_dir / "text.mebf"),
-                "--param", "r=0.3,0.6", "--param", "alpha=0.4,0.8",
-                "--analytic", "--steps", "4"]
-        monkeypatch.setenv("METOK_THREADS", "1")
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("METOK_THREADS", "4")
-        assert main(args + ["--out", str(parallel)]) == 0
-        assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
-        for i in range(4):
-            assert ((serial / f"point_{i:03d}" / "report.json").read_bytes()
-                    == (parallel / f"point_{i:03d}" / "report.json").read_bytes())
-
-    def test_toy_sweep_matches_across_thread_counts(self, data_dir, config_path, tmp_path,
-                                                    monkeypatch):
-        # without --analytic every point runs the toy model, decode included, on its thread
-        args = ["sweep", "--config", str(config_path),
-                "--input", str(data_dir / "video.mebf"),
-                "--text", str(data_dir / "text.mebf"),
-                "--param", "r=0.3,0.6", "--param", "alpha=0.4,0.8", "--steps", "6"]
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("METOK_THREADS", threads)
-            outs.append(tmp_path / f"threads_{threads}")
-            assert main(args + ["--out", str(outs[-1])]) == 0
-        names = ["summary.csv"] + [f"point_{i:03d}/report.json" for i in range(4)]
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_invalid_point_fails_before_any_point_runs(self, data_dir, config_path, tmp_path):
         # s1=5 exceeds the config's s2=3, but the valid point s1=2 comes first
@@ -288,18 +280,6 @@ class TestSweep:
                    "--out", str(out), "--param", "r=0.3", "--param", "r=0.7", "--analytic"])
         assert rc == 1
         assert not out.exists()
-
-    def test_thread_count_must_be_an_integer(self, data_dir, config_path, tmp_path,
-                                             monkeypatch):
-        args = ["sweep", "--config", str(config_path),
-                "--input", str(data_dir / "video.mebf"),
-                "--text", str(data_dir / "text.mebf"),
-                "--param", "r=0.3,0.7", "--analytic", "--steps", "4"]
-        monkeypatch.setenv("METOK_THREADS", "two")
-        assert main(args + ["--out", str(tmp_path / "x")]) == 1
-        assert not (tmp_path / "x").exists()
-        monkeypatch.setenv("METOK_THREADS", "0")  # below 1 still means one thread
-        assert main(args + ["--out", str(tmp_path / "y")]) == 0
 
 
 class TestExitCodes:

@@ -223,6 +223,23 @@ class TestStreamingMemory:
         assert peak <= frame_bytes + (1 << 20)
         assert p.read_bytes()[22:] == emb.tokens.astype("<f4").tobytes()
 
+    def test_a_read_record_is_written_back_byte_for_byte_without_a_frame_copy(self, tmp_path):
+        frames, text = gen_synthetic(8, 32, 32, 64, seed=5, text_len=6)
+        frame_f32_bytes = 32 * 32 * 64 * 4
+        for record, name in ((frames, "video"), (text, "text")):
+            src, dst = tmp_path / f"{name}.mebf", tmp_path / f"{name}_again.mebf"
+            write_embeddings(record, src)
+            back = read_embeddings(src)
+            tracemalloc.start()
+            try:
+                write_embeddings(back, dst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dst.read_bytes() == src.read_bytes()
+            # the float32 frames of the mapped file are written as they are
+            assert peak < frame_f32_bytes / 4
+
     def test_gen_draws_the_video_as_float32(self):
         # a float64 video drawn first and cast on write would peak above 2x
         t, h, w, d = 64, 32, 32, 64

@@ -716,7 +716,7 @@ def test_simulation_bit_identical_across_blas_thread_counts():
 
 
 def test_concurrent_toy_runs_match_serial_ones(monkeypatch):
-    # two toy runs at once, as sweep runs its points, each handing head chunks
+    # two toy runs at once from library callers' threads, each handing head chunks
     # of every attention call to the one shared head pool
     monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)
     monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 2)
