@@ -16,7 +16,6 @@ __all__ = [
     "ZeroNormError",
     "avg_pool_2d",
     "ceil_scaled",
-    "cosine",
     "cosines",
     "top_k_stable",
 ]
@@ -69,29 +68,15 @@ class Rng64:
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 2.0 - 1.0
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two equal-length 1-D vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine expects 1-D vectors")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("zero-norm input (degenerate embedding)")
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
-
-
 def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair of two (n, d) float64 arrays, bit for bit what cosine gives it."""
-    def dots(x, y):  # one vector dot per row, the BLAS dot np.dot runs for cosine
+    """Cosine of each row pair of two (n, d) float64 arrays, clamped to [-1, 1]; a zero-norm
+    row raises ZeroNormError."""
+    def dots(x, y):  # one BLAS vector dot per row, the one np.dot runs on two 1-D vectors
         return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
     na, nb = np.sqrt(dots(a, a)), np.sqrt(dots(b, b))
     if not (na.all() and nb.all()):
         raise ZeroNormError("zero-norm input (degenerate embedding)")
-    return np.fmin(1.0, np.fmax(-1.0, dots(a, b) / (na * nb)))  # NaN clamps to -1 as in cosine
+    return np.fmin(1.0, np.fmax(-1.0, dots(a, b) / (na * nb)))  # NaN clamps to -1
 
 
 def avg_pool_2d(frame: np.ndarray, stride: int) -> np.ndarray:

@@ -21,11 +21,10 @@ is below the counted 4*n^2*d attention terms.
 A decode layer-step is one fused Q/K/V matmul plus ~25 small numpy calls; its
 floor is streaming the float64 weights (19 MB a forward at d_model 128, 12 layers).
 The decode-stage policy drops cached visual entries from a given layer upward
-(the pipeline passes schedule.kv_drop_layer). Its reference is decode's -inf
-masking with mask_from at that layer; the two agree up to float summation
-order. Text is the last text_len entries of every cache layer; layers the
-policy keeps whole are shared with its input, not copied. Wall-clock is the
-caller's to measure.
+(the pipeline passes schedule.kv_drop_layer): dropping an entry is excluding it
+from the softmax, so decode never masks. Text is the last text_len entries of
+every cache layer; layers the policy keeps whole are shared with its input,
+not copied. Wall-clock is the caller's to measure.
 """
 
 from __future__ import annotations
@@ -73,10 +72,7 @@ class ToyModel:
     seed: int
     embed: np.ndarray
     unembed: np.ndarray
-    w_qkv: list[np.ndarray]      # (d, 3d): wq, wk, wv side by side
-    wq: list[np.ndarray]         # column-block views of w_qkv
-    wk: list[np.ndarray]
-    wv: list[np.ndarray]
+    w_qkv: list[np.ndarray]      # (d, 3d): the Q, K and V weights side by side
     wo: list[np.ndarray]
     w_in: list[np.ndarray]
     w_out: list[np.ndarray]
@@ -103,11 +99,9 @@ def init_model(cfg: RunConfig) -> ToyModel:
         w_in.append(draw(d, hidden))
         w_out.append(draw(hidden, d))
     unembed = draw(d, VOCAB)
-    wq, wk, wv = ([w[:, i * d : (i + 1) * d] for w in w_qkv] for i in range(3))
     return ToyModel(
         layers=cfg.layers, heads=cfg.heads, d_model=d, vocab=VOCAB, seed=cfg.seed,
-        embed=embed, unembed=unembed, w_qkv=w_qkv, wq=wq, wk=wk, wv=wv,
-        wo=wo, w_in=w_in, w_out=w_out,
+        embed=embed, unembed=unembed, w_qkv=w_qkv, wo=wo, w_in=w_in, w_out=w_out,
     )
 
 
@@ -139,9 +133,11 @@ def _rms_row(x: np.ndarray) -> np.ndarray:
     return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _NORM_EPS)
 
 
-def _norm_project(x: np.ndarray, weights: tuple, q_scale: float) -> list[np.ndarray]:
-    """Q (times q_scale), K and V of the RMS-normed rows of x, in row pieces."""
-    h, qkv = np.empty_like(x), [np.empty((len(x), w.shape[1])) for w in weights]
+def _norm_project(x: np.ndarray, w_qkv: np.ndarray, q_scale: float) -> list[np.ndarray]:
+    """Q (times q_scale), K and V of the RMS-normed rows of x, through w_qkv's column
+    blocks into three arrays, in row pieces."""
+    h, qkv = np.empty_like(x), [np.empty(x.shape) for _ in range(3)]
+    weights = np.split(w_qkv, 3, axis=1)
 
     def rows(r: slice) -> None:
         _rms_norm(x[r], out=h[r])
@@ -201,20 +197,17 @@ def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbeddin
 class KvCache:
     """Per-layer cached keys/values of the surviving prompt rows, in prompt order.
 
-    Text is the last text_len entries of every layer. Visual entries of
-    layers from mask_from upward stay in place but attract -inf attention
-    scores; mask_from is the layer count when nothing is masked. decode() reads
-    the cache and never writes it.
+    Text is the last text_len entries of every layer; decode attends to every
+    entry. decode() reads the cache and never writes it.
     """
 
     prompt_len: int
     text_len: int
-    mask_from: int
     k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
     v: list[np.ndarray] = field(default_factory=list)
 
     def entry_counts(self) -> list[int]:
-        """Physically stored entries per layer (masked entries included)."""
+        """Stored entries per layer."""
         return [k.shape[0] for k in self.k]
 
 
@@ -367,13 +360,12 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         raise ValueError("schedule and model disagree on layer count")
     x, is_key = inp.x, inp.is_key
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len, mask_from=model.layers)
+    cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len)
     q_scale = 1.0 / math.sqrt(model.head_dim)
     for layer in range(model.layers):
         # RMS-norm and the projections act row by row, so a boundary layer
         # scores from its incoming rows and keeps the survivors' projections.
-        q_flat, k_flat, v_flat = _norm_project(
-            x, (model.wq[layer], model.wk[layer], model.wv[layer]), q_scale)
+        q_flat, k_flat, v_flat = _norm_project(x, model.w_qkv[layer], q_scale)
         if layer in boundaries:
             keep = _prune_boundary(
                 sched, layer, _split_heads(q_flat, model.heads),
@@ -403,10 +395,10 @@ def apply_kv_policy(cache: KvCache, drop_layer: int) -> KvCache:
 
     Those layers keep a copy of only their text tail. Every array the policy
     does not filter is the input cache's own, shared rather than copied: both
-    caches are read-only. The -inf reference it must match is the input cache
-    with mask_from set to drop_layer, which decode masks instead of dropping.
+    caches are read-only. Decoding the result equals decoding the input with
+    those entries' attention scores set to -inf, up to float summation order.
     """
-    out = KvCache(cache.prompt_len, cache.text_len, cache.mask_from)
+    out = KvCache(cache.prompt_len, cache.text_len)
     for layer, (k, v) in enumerate(zip(cache.k, cache.v)):
         if layer >= drop_layer:
             k, v = (a[len(a) - cache.text_len :].copy() for a in (k, v))
@@ -427,7 +419,7 @@ class DecodeOutput:
 
 
 def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray) -> DecodeOutput:
-    """Greedy decode against the (possibly masked) cache, which is not modified.
+    """Greedy decode against every entry of the cache, which is not modified.
 
     Token 0 is the argmax of first_logits (computed by prefill); each further
     token comes from one forward pass, whose layer-steps project Q, K and V with
@@ -465,8 +457,6 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             np.matmul(q, gen_kv[0, :, : s + 1].transpose(0, 2, 1), out=row[:, :, c:])
             p = row[:, 0]
             p /= scale
-            if layer >= cache.mask_from:
-                p[:, : split[1]] = -np.inf
             p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)

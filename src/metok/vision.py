@@ -20,7 +20,7 @@ from itertools import pairwise
 import numpy as np
 
 from .data_io import EVENT_SCORES, FRAME_REDUCES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
-from .kernels import avg_pool_2d, ceil_scaled, cosine, cosines, top_k_stable
+from .kernels import avg_pool_2d, ceil_scaled, cosines, top_k_stable
 
 __all__ = [
     "EventPartition",
@@ -75,13 +75,13 @@ class EventPartition:
 
 def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
     """Adjacent-frame cosines: of the frame means the record holds, reading no token,
-    or of flat frames read two at a time."""
+    or of (1, h*w*d) flat frames read two at a time."""
     if frame_reduce not in FRAME_REDUCES:
         raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
     if frame_reduce == "mean":
         return cosines(v.frame_means[:-1], v.frame_means[1:])
-    flat = (v.frame_grid(i).reshape(-1) for i in range(v.num_frames))
-    return np.array([cosine(a, b) for a, b in pairwise(flat)])
+    flat = (v.frame_grid(i).reshape(1, -1) for i in range(v.num_frames))
+    return np.array([cosines(a, b)[0] for a, b in pairwise(flat)])
 
 
 def segment_events(v: FrameEmbeddings, k: int, frame_reduce: str = "mean") -> EventPartition:

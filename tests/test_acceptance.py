@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -32,7 +31,7 @@ from metok.vision import (
     select_keys,
     score_relevance,
 )
-from tests.test_toy_llm import make_stream, make_text
+from tests.test_toy_llm import make_stream, make_text, reference_decode
 
 GOLDEN_CRITERION_8 = Path(__file__).parent / "data" / "criterion_8"
 
@@ -151,8 +150,7 @@ def test_criterion_4_softmax_exclusion_identity():
         res = prefill(model, inp, sched)
         drop = sched.l1
         out_drop = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
-        out_mask = decode(model, dataclasses.replace(res.cache, mask_from=drop), 4,
-                          res.final_logits)
+        out_mask = reference_decode(model, res.cache, 4, res.final_logits, mask_from=drop)
         assert np.array_equal(out_drop.tokens, out_mask.tokens)
         diff = float(np.max(np.abs(out_drop.logits - out_mask.logits)))
         assert diff <= 1e-9, f"run {run}: logits diverged by {diff}"
@@ -323,7 +321,8 @@ def test_criterion_8_artifacts_match_golden(tmp_path):
 
 
 def test_criterion_8_compress_and_sweep_match_golden(tmp_path, monkeypatch):
-    """compress's stream_stats.json and a sweep's summary.csv and point reports.
+    """compress's stream_stats.json, in both frame_reduce modes, and a sweep's summary.csv
+    and point reports.
 
     None of them depends on logits, so the goldens hold on every platform. A
     sweep prices every point from its plan, so with or without --analytic it
@@ -337,9 +336,12 @@ def test_criterion_8_compress_and_sweep_match_golden(tmp_path, monkeypatch):
     sweep = ["sweep", *io_args, "--steps", "5",
              "--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"]
     assert main(["compress", *io_args, "--out", str(tmp_path / "compress")]) == 0
+    assert main(["compress", *io_args, "--out", str(tmp_path / "compress_flatten"),
+                 "--frame-reduce", "flatten", "--event-score", "max"]) == 0
     assert main([*sweep, "--out", str(tmp_path / "sweep"), "--analytic"]) == 0
     assert main([*sweep, "--out", str(tmp_path / "sweep_plain")]) == 0
-    for out, command in (("compress", "compress"), ("sweep", "sweep"), ("sweep_plain", "sweep")):
+    for out, command in (("compress", "compress"), ("compress_flatten", "compress_flatten"),
+                         ("sweep", "sweep"), ("sweep_plain", "sweep")):
         golden = GOLDEN_CRITERION_8 / command
         want = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
         got = sorted(p.relative_to(tmp_path / out)

@@ -22,9 +22,10 @@ from metok.data_io import (
     read_embeddings,
     write_embeddings,
 )
-from metok.kernels import Rng64, cosine
+from metok.kernels import Rng64
 from metok.pipeline import compress_stats
 from metok.vision import plan_vision_stage
+from tests.test_kernels import cosine
 
 
 def frame_means(emb):

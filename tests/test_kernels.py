@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,24 @@ from metok.kernels import (
     ZeroNormError,
     avg_pool_2d,
     ceil_scaled,
-    cosine,
     cosines,
     top_k_stable,
 )
+
+
+def cosine(a, b):
+    """Oracle of kernels.cosines: the cosine of two equal-length 1-D vectors, clamped to [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError("cosine expects 1-D vectors")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    na = math.sqrt(float(np.dot(a, a)))
+    nb = math.sqrt(float(np.dot(b, b)))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroNormError("zero-norm input (degenerate embedding)")
+    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
 
 
 def next_unit(rng):

@@ -1,0 +1,29 @@
+"""The mutation table stays appliable: tests/mutants.py runs the mutants themselves."""
+
+import shutil
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from tests.mutants import MUTANTS, apply
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_every_snippet_occurs_once_and_names_a_test(tmp_path):
+    shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert mutant.tests
+        apply(mutant, tmp_path / "src")
+        assert mutant.replacement in (tmp_path / "src" / mutant.file).read_text()
+
+
+@pytest.mark.parametrize("snippet", ["no such code", "import numpy as np\n\n"])
+def test_a_snippet_that_does_not_occur_exactly_once_is_refused(tmp_path, snippet):
+    path = tmp_path / "src" / "metok" / "toy_llm.py"
+    path.parent.mkdir(parents=True)
+    path.write_text("import numpy as np\n\nimport numpy as np\n\n")
+    with pytest.raises(ValueError, match="snippet occurs"):
+        apply(replace(MUTANTS[0], snippet=snippet), tmp_path / "src")

@@ -175,7 +175,7 @@ def hand_cache(n_vis, n_text, layers, d=4):
     Each row's key holds its prompt position in every column.
     """
     n = n_vis + n_text
-    cache = KvCache(prompt_len=n, text_len=n_text, mask_from=layers)
+    cache = KvCache(prompt_len=n, text_len=n_text)
     for _ in range(layers):
         cache.k.append(np.repeat(np.arange(n, dtype=np.float64)[:, None], d, axis=1))
         cache.v.append(np.zeros((n, d)))

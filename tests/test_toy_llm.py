@@ -68,6 +68,11 @@ def dense_probs(q, k):
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def qkv_weights(model, layer):
+    """The layer's Q, K and V weights: the three column blocks of its w_qkv."""
+    return np.split(model.w_qkv[layer], 3, axis=1)
+
+
 def dense_prefill(model, inp, sched):
     """Oracle prefill: dense attention on every layer; each boundary scores from
     the full (heads, n, n) probabilities, then projects its survivors again."""
@@ -75,13 +80,13 @@ def dense_prefill(model, inp, sched):
     ids = np.arange(x.shape[0])
     is_text = ids >= x.shape[0] - m
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=m, mask_from=model.layers)
+    cache = KvCache(prompt_len=x.shape[0], text_len=m)
     lengths = []
     for layer in range(model.layers):
+        wq, wk, wv = qkv_weights(model, layer)
         if layer in boundaries:
             h = _rms_norm(x)
-            attn = dense_probs(_split_heads(h @ model.wq[layer], model.heads),
-                               _split_heads(h @ model.wk[layer], model.heads))
+            attn = dense_probs(_split_heads(h @ wq, model.heads), _split_heads(h @ wk, model.heads))
             rows = np.arange(x.shape[0])
             keep = is_text.copy()
             for group, flag in (("key", True), ("non_key", False)):
@@ -96,8 +101,8 @@ def dense_prefill(model, inp, sched):
         n = x.shape[0]
         lengths.append(n)
         h = _rms_norm(x)
-        k_flat, v_flat = h @ model.wk[layer], h @ model.wv[layer]
-        p = dense_probs(_split_heads(h @ model.wq[layer], model.heads),
+        k_flat, v_flat = h @ wk, h @ wv
+        p = dense_probs(_split_heads(h @ wq, model.heads),
                         _split_heads(k_flat, model.heads))
         out = (p @ _split_heads(v_flat, model.heads)).transpose(1, 0, 2).reshape(n, -1)
         x = x + out @ model.wo[layer]
@@ -109,7 +114,7 @@ def dense_prefill(model, inp, sched):
 
 def assert_same_cache(a, b, kv_tol=0.0):
     """Equal metadata in every layer; keys/values equal, or within kv_tol."""
-    assert (a.prompt_len, a.text_len, a.mask_from) == (b.prompt_len, b.text_len, b.mask_from)
+    assert (a.prompt_len, a.text_len) == (b.prompt_len, b.text_len)
     assert len(a.k) == len(b.k)
     for layer in range(len(a.k)):
         for name in ("k", "v"):
@@ -120,8 +125,9 @@ def assert_same_cache(a, b, kv_tol=0.0):
 
 def weights_checksum(model):
     """Order-stable digest of all weights, for determinism checks."""
-    parts = [model.embed, model.unembed] + model.wq + model.wk + model.wv + model.wo
-    parts += model.w_in + model.w_out
+    parts = [model.embed, model.unembed]
+    parts += [qkv_weights(model, layer)[i] for i in range(3) for layer in range(model.layers)]
+    parts += model.wo + model.w_in + model.w_out
     return float(sum(float(np.sum(p * p)) for p in parts))
 
 
@@ -160,25 +166,18 @@ class TestInitModel:
         assert m.head_dim == 16
 
     def test_weight_stream_is_pinned(self):
-        # sha256 of every weight in draw order: embed, then per layer wq, wk, wv,
-        # wo, w_in, w_out, then unembed; computed when each weight had its own array
+        # sha256 of every weight in draw order: embed, then per layer wq, wk, wv (the
+        # column blocks of w_qkv), wo, w_in, w_out, then unembed; computed when each
+        # weight had its own array
         model = init_model(RunConfig(layers=2, heads=2, d_model=16, seed=3))
         digest = hashlib.sha256(model.embed.tobytes())
         for layer in range(model.layers):
-            for w in (model.wq, model.wk, model.wv, model.wo, model.w_in, model.w_out):
-                digest.update(np.ascontiguousarray(w[layer]).tobytes())
+            for w in (*qkv_weights(model, layer), model.wo[layer], model.w_in[layer],
+                      model.w_out[layer]):
+                digest.update(np.ascontiguousarray(w).tobytes())
         digest.update(model.unembed.tobytes())
         assert digest.hexdigest() == (
             "a0acf918a90de9e7f8c6e69485a44464c6a452a5a7d5f685f2e82fafdb40a8a6")
-
-    def test_qkv_weights_are_views_of_one_block(self):
-        model = init_model(RunConfig(layers=2, heads=2, d_model=16, seed=3))
-        for layer in range(model.layers):
-            block = model.w_qkv[layer]
-            assert block.shape == (16, 48)
-            for i, w in enumerate((model.wq, model.wk, model.wv)):
-                assert np.shares_memory(w[layer], block)
-                assert np.array_equal(w[layer], block[:, 16 * i : 16 * (i + 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,6 +186,14 @@ class TestInitModel:
 def test_row_norm_bit_identical_to_batched_norm(values, exponent, zero):
     x = np.zeros(len(values)) if zero else np.array(values) * 10.0**exponent
     assert np.array_equal(_rms_row(x), _rms_norm(x[None])[0])
+
+
+def test_rms_norm_hand_value():
+    # x / sqrt(mean(x^2) + 1e-6); in the second row the eps outweighs mean(x^2)
+    x = np.array([[3.0, 4.0], [1e-3, 0.0]])
+    want = np.array([[3.0, 4.0], [1e-3, 0.0]]) / np.sqrt([[12.5 + 1e-6], [5e-7 + 1e-6]])
+    np.testing.assert_allclose(_rms_norm(x), want, rtol=1e-14)
+    np.testing.assert_allclose(_rms_row(x[1]), want[1], rtol=1e-14)
 
 
 class TestPrefill:
@@ -235,7 +242,7 @@ class TestPrefill:
         cfg = RunConfig(layers=4, heads=2, d_model=16, seed=9)
         model = init_model(cfg)
         for layer in range(4):
-            model.wq[layer][:] = 0.0  # uniform attention -> equal importance
+            model.w_qkv[layer][:, :16] = 0.0  # zero Q: uniform attention -> equal importance
         stream = make_stream(6, 4, 8)
         inp = build_prefill_input(model, stream, make_text(2, 8))
         sched = PruneSchedule(
@@ -499,10 +506,8 @@ class TestKvPolicyAndDecode:
 
     def test_drop_matches_neg_inf_masking(self):
         model, res, sched = self._prefilled()
-        dropped = apply_kv_policy(res.cache, sched.l1)
-        flagged = dataclasses.replace(res.cache, mask_from=sched.l1)
-        out_a = decode(model, dropped, 6, res.final_logits)
-        out_b = decode(model, flagged, 6, res.final_logits)
+        out_a = decode(model, apply_kv_policy(res.cache, sched.l1), 6, res.final_logits)
+        out_b = reference_decode(model, res.cache, 6, res.final_logits, mask_from=sched.l1)
         assert np.array_equal(out_a.tokens, out_b.tokens)
         assert float(np.max(np.abs(out_a.logits - out_b.logits))) <= 1e-9
 
@@ -579,9 +584,14 @@ class TestKvPolicyAndDecode:
             decode(model, apply_kv_policy(res.cache, sched.l1), 4, np.zeros(shape))
 
 
-def reference_decode(model, cache, steps, first_logits):
+def reference_decode(model, cache, steps, first_logits, mask_from=None):
     """Per-head decode as it ran before the fused layer-step: three projections,
-    split-head views of whole-width buffers, concatenated scores, head-mean sums."""
+    split-head views of whole-width buffers, concatenated scores, head-mean sums.
+
+    Cached visual entries of layers from mask_from upward stay in place but get
+    -inf attention scores: the masking that the KV policy's drop must equal.
+    """
+    mask_from = model.layers if mask_from is None else mask_from
     tokens = [int(np.argmax(first_logits))]
     logits_rows = [np.asarray(first_logits, dtype=np.float64)]
     attn_split = np.zeros((steps - 1, model.layers, 2))
@@ -595,9 +605,10 @@ def reference_decode(model, cache, steps, first_logits):
         )[0]
         for layer in range(model.layers):
             h = _rms_norm(x[None, :])
-            q = _split_heads(h @ model.wq[layer], model.heads)
-            gen_k[layer, s] = (h @ model.wk[layer])[0]
-            gen_v[layer, s] = (h @ model.wv[layer])[0]
+            wq, wk, wv = qkv_weights(model, layer)
+            q = _split_heads(h @ wq, model.heads)
+            gen_k[layer, s] = (h @ wk)[0]
+            gen_v[layer, s] = (h @ wv)[0]
             c = cache.k[layer].shape[0]
             n_vis = c - cache.text_len  # cached entries [:n_vis] are visual, the rest text
             k_c = _split_heads(cache.k[layer], model.heads)
@@ -605,7 +616,7 @@ def reference_decode(model, cache, steps, first_logits):
             scores = np.concatenate(
                 [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
             )[:, 0, :] / scale
-            if layer >= cache.mask_from:
+            if layer >= mask_from:
                 scores[:, :n_vis] = -np.inf
             scores -= scores.max(axis=-1, keepdims=True)
             p = np.exp(scores)
@@ -628,28 +639,27 @@ def reference_decode(model, cache, steps, first_logits):
     )
 
 
-def reference_cache(kind, heads, d_model, layers=4):
-    """A model and a prefilled cache: visual entries masked from layer 2, dropped
-    from layer 2, or dropped from every layer (text only)."""
+@pytest.mark.parametrize("steps", [1, 2, 17])
+@pytest.mark.parametrize("kind", ["masked", "dropped", "text_only"])
+@pytest.mark.parametrize("heads, d_model", [(1, 8), (2, 16), (4, 16), (4, 4), (1, 1)])
+def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
+    """decode of a cache whose visual entries were dropped from layer 2 ("masked" and
+    "dropped") or from every layer ("text_only"), against the reference decode of that
+    cache, or for "masked" of the prefill cache with those entries masked."""
+    # (4, 4) and (1, 1) have head_dim 1
+    layers = 4
     model = init_model(RunConfig(layers=layers, heads=heads, d_model=d_model, seed=heads + d_model))
     inp = build_prefill_input(model, make_stream(10, 5, 8, seed=3), make_text(3, 8, seed=4))
     sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=layers,
                           n_key=10, n_nonkey=5)
     res = prefill(model, inp, sched)
-    cache = {"masked": dataclasses.replace(res.cache, mask_from=2),
-             "dropped": apply_kv_policy(res.cache, 2),
-             "text_only": apply_kv_policy(res.cache, 0)}[kind]
-    return model, cache, res.final_logits
-
-
-@pytest.mark.parametrize("steps", [1, 2, 17])
-@pytest.mark.parametrize("kind", ["masked", "dropped", "text_only"])
-@pytest.mark.parametrize("heads, d_model", [(1, 8), (2, 16), (4, 16), (4, 4), (1, 1)])
-def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
-    # (4, 4) and (1, 1) have head_dim 1
-    model, cache, first_logits = reference_cache(kind, heads, d_model)
-    out = decode(model, cache, steps, first_logits)
-    want = reference_decode(model, cache, steps, first_logits)
+    drop = 0 if kind == "text_only" else 2
+    cache = apply_kv_policy(res.cache, drop)
+    out = decode(model, cache, steps, res.final_logits)
+    if kind == "masked":
+        want = reference_decode(model, res.cache, steps, res.final_logits, mask_from=drop)
+    else:
+        want = reference_decode(model, cache, steps, res.final_logits)
     assert np.array_equal(out.tokens, want.tokens)
     for name in ("logits", "attn_split"):
         got, ref = getattr(out, name), getattr(want, name)
@@ -754,7 +764,7 @@ class TestAttentionRatios:
         cfg = RunConfig(layers=2, heads=2, d_model=16, seed=6)
         model = init_model(cfg)
         for layer in range(2):
-            model.wq[layer][:] = 0.0
+            model.w_qkv[layer][:, :16] = 0.0  # zero Q
         stream = make_stream(30, 0, 8)
         inp = build_prefill_input(model, stream, make_text(10, 8))
         res = prefill(model, inp, disabled_schedule(2))

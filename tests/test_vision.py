@@ -30,6 +30,7 @@ from metok.vision import (
     select_keys,
     uniform_stream,
 )
+from tests.test_kernels import cosine
 
 
 def expected_token_count(grid_h, grid_w, strides):
@@ -91,6 +92,32 @@ class TestSegmentEvents:
         v = FrameEmbeddings(tokens=tokens, grid_h=1, grid_w=1)
         with pytest.raises(ZeroNormError):
             segment_events(v, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("zero", [0, 2, 3])
+    def test_zero_norm_frame_fails_in_flatten_mode(self, dtype, zero):
+        tokens = np.ones((4, 4, 3), dtype=dtype)
+        tokens[zero] = 0.0
+        v = FrameEmbeddings(tokens=tokens, grid_h=2, grid_w=2)
+        with pytest.raises(ZeroNormError):
+            segment_events(v, 2, frame_reduce="flatten")
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(t=st.integers(2, 6), h=st.integers(1, 8), w=st.integers(1, 8), d=st.integers(1, 48),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+           near_parallel=st.booleans())
+    def test_flatten_sims_are_the_cosine_of_each_flat_pair(self, t, h, w, d, dtype, seed,
+                                                           near_parallel):
+        """Flatten mode gives the oracle cosine of each adjacent pair of flat frames, bit for bit."""
+        rng = np.random.default_rng(seed)
+        tokens = rng.standard_normal((t, h * w, d))
+        if near_parallel:  # +-scaled copies of frame 0 barely moved: cosines near +-1, clamped
+            scale = rng.choice([-1.0, 1.0], (t, 1, 1)) * rng.uniform(0.5, 2.0, (t, 1, 1))
+            tokens = tokens[:1] * scale + 1e-9 * tokens
+        v = FrameEmbeddings(tokens=tokens.astype(dtype), grid_h=h, grid_w=w)
+        flat = [v.frame_grid(i).reshape(-1) for i in range(t)]
+        want = np.array([cosine(a, b) for a, b in itertools.pairwise(flat)])
+        assert vision._adjacent_sims(v, "flatten").tobytes() == want.tobytes()
 
     def test_k_equals_t(self):
         v = frames_with_adjacent_sims([0.5, 0.9, 0.1])
