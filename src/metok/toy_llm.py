@@ -14,6 +14,8 @@ sequence; the text prompt, the last text_len rows, is never pruned. Prefill
 uses every CPU the process may use. Causal attention runs as (head, 256-row
 query block) tasks, each scored into its worker's own (block, n) workspace (q
 pre-scaled, softmax normalised after P·V), so no (heads, n, n) tensor is built.
+A layer whose scores provably fit exp's range (_score_bound) skips softmax's
+row-max shift, and no -inf goes into exp there.
 RMS norm, the projections, Wo and the MLP run in fixed pieces of 256-511 rows.
 Buffers are allocated by the calling thread and the bits do not depend on the
 CPU count. The final layer runs only the last prompt row, so the executed work
@@ -61,6 +63,9 @@ _CHUNK_SCORES = 1 << 17
 # Row-wise layer work runs in pieces of [_ROWS, 2*_ROWS) rows, where a gemm of a
 # row piece gives the bits of those rows of the whole product.
 _ROWS = 256
+# Softmax takes exp(s) with no row max on a layer whose scores provably stay within
+# ±_EXP_SAFE: e^±600 is a normal float64, and a row sum of n·e^600 stays finite.
+_EXP_SAFE = 600.0
 
 
 @dataclass
@@ -223,25 +228,48 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, tile: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """(heads, stop-start, stop) softmax numerators exp(s - row max) of query rows [start:stop].
+def _score_bound(model: ToyModel, layer: int) -> float:
+    """Bound on the layer's scores |q·k|/sqrt(head_dim): Q and K project RMS-normed rows,
+    whose |h|² = d·m/(m+eps) < d, so head h's scores are below
+    d·‖Wq_h‖_F·‖Wk_h‖_F/sqrt(head_dim), Wq_h and Wk_h its column blocks of w_qkv."""
+    d, heads = model.d_model, model.heads
+    wq, wk = (np.linalg.norm(w.reshape(d, heads, -1), axis=(0, 2))
+              for w in np.split(model.w_qkv[layer], 3, axis=1)[:2])
+    return float(np.max(wq * wk)) * d / math.sqrt(model.head_dim)
+
+
+def _needs_shift(model: ToyModel, layer: int) -> bool:
+    """Whether the layer's softmax subtracts the row max: only if exp(s) could overflow."""
+    return _score_bound(model, layer) > _EXP_SAFE
+
+
+def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, upper: np.ndarray,
+                shift: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """(heads, stop-start, stop) softmax numerators of query rows [start:stop].
 
     q is pre-scaled by 1/sqrt(head_dim). Row i sees keys [:i+1]. Keys before
-    start are visible to every row, so -inf goes only into the diagonal tile
-    [start:stop, start:stop], taken from the -inf upper triangle tile of at
-    least stop-start rows. The block is written into out when given.
+    start are visible to every row, so only the diagonal tile [start:stop,
+    start:stop] is masked, where the bool upper triangle `upper` (at least
+    stop-start rows) is set. With shift the numerators are exp(s - row max),
+    masked scores -inf; without it (_needs_shift) they are exp(s), masked
+    entries set to 0 after exp, so no -inf goes into exp. The block is
+    written into out when given.
     """
     rows = stop - start
     s = np.matmul(q[:, start:stop], k[:, :stop].transpose(0, 2, 1), out=out)
-    s[:, :, start:] += tile[:rows, :rows]
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
+    diag, masked = s[:, :, start:], upper[:rows, :rows]
+    if shift:
+        np.copyto(diag, -np.inf, where=masked)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+    else:
+        np.exp(s, out=s)
+        np.copyto(diag, 0.0, where=masked)
     return s
 
 
-def _upper_tile(size: int) -> np.ndarray:
-    return np.triu(np.full((size, size), -np.inf), k=1)
+def _upper_mask(size: int) -> np.ndarray:
+    return np.triu(np.ones((size, size), dtype=bool), k=1)
 
 
 def _usable_cpus() -> int:
@@ -289,7 +317,8 @@ def _by_rows(n: int, work) -> None:
     _fan_out(lambda _, r: work(r), rows, min(_usable_cpus(), pieces))
 
 
-def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
+def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0, *,
+                      shift: bool) -> np.ndarray:
     """(n-first, heads*head_dim) causal attention of split-head query rows [first:n], in blocks.
 
     At most one worker per usable CPU and per head, the first on the caller's
@@ -300,7 +329,7 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 
     """
     heads, n, head_dim = q.shape
     block = min(_QBLOCK, n - first)
-    tile = _upper_tile(block)
+    upper = _upper_mask(block)
     workers = max(1, min(_usable_cpus(), heads, heads * block * n // _CHUNK_SCORES))
     scores = np.empty((workers, 1, block, n))
     out = np.empty((n - first, heads, head_dim))
@@ -308,7 +337,7 @@ def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 
     def attend(slot: int, task: tuple[int, int]) -> None:  # one head's block into its slots of out
         h, start = task
         stop = min(start + block, n)
-        e = _causal_exp(q[h : h + 1], k[h : h + 1], start, stop, tile,
+        e = _causal_exp(q[h : h + 1], k[h : h + 1], start, stop, upper, shift,
                         scores[slot, :, : stop - start, :stop])[0]
         pv = np.matmul(e, v[h, :stop], out=out[start - first : stop - first, h])
         pv /= e.sum(axis=-1, keepdims=True)
@@ -326,6 +355,7 @@ def _prune_boundary(
     k: np.ndarray,
     is_key: np.ndarray,
     text_len: int,
+    shift: bool,
 ) -> np.ndarray:
     """Keep mask over the incoming rows of a boundary layer, from its text rows' attention.
 
@@ -334,7 +364,7 @@ def _prune_boundary(
     post-softmax (heads, text_len, n) block is all the importance rule reads.
     """
     n = q.shape[1]
-    attn = _causal_exp(q, k, n - text_len, n, _upper_tile(text_len))
+    attn = _causal_exp(q, k, n - text_len, n, _upper_mask(text_len), shift)
     attn /= attn.sum(axis=-1, keepdims=True)
     keep = np.ones(n, dtype=bool)
     for group, flag in (("key", True), ("non_key", False)):
@@ -366,10 +396,11 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
         # RMS-norm and the projections act row by row, so a boundary layer
         # scores from its incoming rows and keeps the survivors' projections.
         q_flat, k_flat, v_flat = _norm_project(x, model.w_qkv[layer], q_scale)
+        shift = _needs_shift(model, layer)
         if layer in boundaries:
             keep = _prune_boundary(
                 sched, layer, _split_heads(q_flat, model.heads),
-                _split_heads(k_flat, model.heads), is_key, inp.text_len,
+                _split_heads(k_flat, model.heads), is_key, inp.text_len, shift,
             )
             x, is_key = x[keep], is_key[keep[: len(is_key)]]
             q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
@@ -382,7 +413,7 @@ def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> Prefill
             _split_heads(q_flat, model.heads),
             _split_heads(k_flat, model.heads),
             _split_heads(v_flat, model.heads),
-            first,
+            first, shift=shift,
         ), model.wo[layer])
         x = _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
@@ -424,9 +455,9 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     Token 0 is the argmax of first_logits (computed by prefill); each further
     token comes from one forward pass, whose layer-steps project Q, K and V with
     one matmul and keep K and V in split-head buffers beside the caller's cache,
-    so decoding twice from one cache gives the same result. Per forward and
-    layer, the head-averaged attention mass on visual vs text PROMPT positions
-    is recorded.
+    so decoding twice from one cache gives the same result. Softmax subtracts
+    the row max only on layers that _needs_shift. Per forward and layer, the
+    head-averaged attention mass on visual vs text PROMPT positions is recorded.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -441,14 +472,16 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     positions = sinusoidal_positions(np.arange(gen) + cache.prompt_len, d)
     scale = math.sqrt(head_dim)
     counts = cache.entry_counts()
-    # per layer: cached entries, their visual/text split, split-head K^T and V, generated K/V
+    # per layer: cached entries, their visual/text split, split-head K^T and V, generated
+    # K/V, and whether softmax shifts
     layers = [(c, np.array([0, c - cache.text_len]), _split_heads(k, heads).transpose(0, 2, 1),
-               _split_heads(v, heads), np.empty((2, heads, gen, head_dim)))
-              for c, k, v in zip(counts, cache.k, cache.v)]
+               _split_heads(v, heads), np.empty((2, heads, gen, head_dim)),
+               _needs_shift(model, layer))
+              for layer, (c, k, v) in enumerate(zip(counts, cache.k, cache.v))]
     scores = np.empty(heads * (max(counts) + gen))
     for s in range(gen):
         x = model.embed[np.argmax(logits[s])] + positions[s]
-        for layer, (c, split, k_c, v_c, gen_kv) in enumerate(layers):
+        for layer, (c, split, k_c, v_c, gen_kv, shift) in enumerate(layers):
             qkv = _rms_row(x) @ model.w_qkv[layer]
             gen_kv[:, :, s] = qkv[d:].reshape(2, heads, head_dim)
             q = qkv[:d].reshape(heads, 1, head_dim)
@@ -457,7 +490,8 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
             np.matmul(q, gen_kv[0, :, : s + 1].transpose(0, 2, 1), out=row[:, :, c:])
             p = row[:, 0]
             p /= scale
-            p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+            if shift:
+                p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= np.add.reduce(p, axis=-1, keepdims=True)
             np.add.reduceat(np.add.reduce(p[:, :c], axis=0), split, out=attn_split[s, layer])

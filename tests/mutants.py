@@ -85,6 +85,26 @@ MUTANTS = (
          "tests/test_toy_llm.py::TestBlockedAttention::test_prefill_bit_identical_at_any_cpu_count"),
     ),
     Mutant(
+        "softmax_never_shifts", "metok/toy_llm.py",
+        "_EXP_SAFE = 600.0\n",
+        "_EXP_SAFE = float(\"inf\")\n",
+        ("tests/test_toy_llm.py::TestSoftmaxShift::test_scores_past_exps_range_take_the_shifted_path",),
+    ),
+    Mutant(
+        "softmax_always_shifts", "metok/toy_llm.py",
+        "    return _score_bound(model, layer) > _EXP_SAFE\n",
+        "    return True\n",
+        ("tests/test_toy_llm.py::TestSoftmaxShift::"
+         "test_fast_on_the_mid_and_criterion_8_models_shifted_at_d_256",),
+    ),
+    Mutant(
+        "masked_numerators_not_zeroed", "metok/toy_llm.py",
+        "        np.copyto(diag, 0.0, where=masked)\n",
+        "        pass\n",
+        ("tests/test_toy_llm.py::TestBlockedAttention::test_matches_dense_oracle",
+         "tests/test_toy_llm.py::TestBlockedAttention::test_text_rows_match_dense_rows"),
+    ),
+    Mutant(
         "stride_rule_ignores_alpha", "metok/vision.py",
         "np.where(key_frame, scaled_stride(s1, alpha), scaled_stride(s2, alpha))",
         "np.where(key_frame, s1, s2)",

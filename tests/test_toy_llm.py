@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -25,10 +27,12 @@ from metok.toy_llm import (
     PrefillInput,
     _causal_attention,
     _causal_exp,
+    _needs_shift,
     _rms_norm,
     _rms_row,
+    _score_bound,
     _split_heads,
-    _upper_tile,
+    _upper_mask,
     apply_kv_policy,
     attention_ratio_trace,
     build_prefill_input,
@@ -280,6 +284,14 @@ def random_qkv(heads, n, head_dim, seed):
             for _ in range(3)]
 
 
+def scaled_qk(model, factor):
+    """A copy of model whose Q and K weights are scaled by factor, so its scores by factor²."""
+    d = model.d_model
+    w_qkv = [np.concatenate([w[:, : 2 * d] * factor, w[:, 2 * d :]], axis=1)
+             for w in model.w_qkv]
+    return dataclasses.replace(model, w_qkv=w_qkv)
+
+
 def assert_matches_dense_prefill(model, inp, sched):
     """Keep sets, lengths and decoded tokens equal the dense oracle's; logits to 1e-9."""
     res = prefill(model, inp, sched)
@@ -302,44 +314,51 @@ class TestBlockedAttention:
         # the helpers take q pre-scaled by 1/sqrt(head_dim); the oracle scales its own
         q, k, v = random_qkv(2, n, 4, seed=n)
         want = (dense_probs(q, k) @ v).transpose(1, 0, 2).reshape(n, -1)
-        for first in (0, n // 2, n - 1):  # output rows [first:n] only
-            got = _causal_attention(q / math.sqrt(4), k, v, first)
-            assert float(np.max(np.abs(got - want[first:]))) <= 1e-12
+        for first, shift in itertools.product((0, n // 2, n - 1), (False, True)):
+            got = _causal_attention(q / math.sqrt(4), k, v, first, shift=shift)
+            assert float(np.max(np.abs(got - want[first:]))) <= 1e-12  # rows [first:n] only
 
     @pytest.mark.parametrize("heads", [1, 3, 4])
     @pytest.mark.parametrize("n", [1, B + 1, 2 * B + 17])
     def test_head_chunks_bit_identical_to_one_chunk(self, n, heads, monkeypatch):
         q, k, v = random_qkv(heads, n, 4, seed=n + heads)
-        for first in (0, n - 1):
+        for first, shift in itertools.product((0, n - 1), (False, True)):
             monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
             monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU needs no pool
-            want = _causal_attention(q, k, v, first)
+            want = _causal_attention(q, k, v, first, shift=shift)
             monkeypatch.undo()
             monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # chunk even the smallest call
             for cpus in (2, 3, 8):  # 3 heads on 2 CPUs split unevenly; 8 is capped at heads
                 monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
-                assert np.array_equal(_causal_attention(q, k, v, first), want)
+                assert np.array_equal(_causal_attention(q, k, v, first, shift=shift), want)
+            monkeypatch.undo()
 
     def test_small_calls_stay_on_the_callers_thread(self, monkeypatch):
         # a (4, B-1, B-1) workspace, or one final row, is too small to hand a chunk over
         monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(toy_llm, "_head_pool", None)
         q, k, v = random_qkv(4, self.B - 1, 4, seed=3)
-        _causal_attention(q, k, v)
+        _causal_attention(q, k, v, shift=False)
         q, k, v = random_qkv(4, 2 * self.B + 17, 4, seed=4)
-        _causal_attention(q, k, v, 2 * self.B + 16)
+        _causal_attention(q, k, v, 2 * self.B + 16, shift=False)
 
     @pytest.mark.parametrize("m", [1, 7, B + 3])
     def test_text_rows_match_dense_rows(self, m):
         n = 2 * self.B + 17
         q, k, _ = random_qkv(3, n, 4, seed=m)
         want = dense_probs(q, k)[:, n - m :]
-        numer = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_tile(m))
-        assert numer.shape == (3, m, n)
-        # unnormalised: each row's largest numerator is exp(0)
-        assert np.array_equal(numer.max(axis=-1), np.ones((3, m)))
-        normed = numer / numer.sum(axis=-1, keepdims=True)
-        assert float(np.max(np.abs(normed - want))) <= 1e-12
+        shifted = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_mask(m), True)
+        assert shifted.shape == (3, m, n)
+        # unnormalised: each shifted row's largest numerator is exp(0)
+        assert np.array_equal(shifted.max(axis=-1), np.ones((3, m)))
+        # unshifted: exp of the scores themselves, and exactly 0 where a row may not look
+        plain = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_mask(m), False)
+        scores = (q / math.sqrt(4))[:, n - m :] @ k.transpose(0, 2, 1)
+        visible = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
+        assert np.array_equal(plain, np.where(visible, np.exp(scores), 0.0))
+        for numer in (shifted, plain):
+            normed = numer / numer.sum(axis=-1, keepdims=True)
+            assert float(np.max(np.abs(normed - want))) <= 1e-12
 
     def test_criterion_4_fixtures_match_dense_prefill(self):
         rng = Rng64(444)  # the first 40 of acceptance criterion 4's 100 runs
@@ -420,7 +439,7 @@ class TestBlockedAttention:
         model = init_model(RunConfig(layers=2, heads=heads, d_model=16, seed=8))
         inp = build_prefill_input(model, make_stream(n_vis, 0, 8), make_text(m, 8))
         workspace_bytes = 2 * self.B * n * 8        # one (B, n) block per worker: about 4.9 MB
-        other_bytes = 2 * 2**20  # the (B, B) -inf tile, the (n, d) rows and cache, the MLP rows
+        other_bytes = 2 * 2**20  # the (B, B) mask tile, the (n, d) rows and cache, the MLP rows
         tracemalloc.start()
         try:
             prefill(model, inp, disabled_schedule(2))
@@ -431,31 +450,95 @@ class TestBlockedAttention:
 
     @pytest.mark.parametrize("n", [B - 1, B, 2 * B - 1, 2 * B, 2 * B + 17, 1100])
     def test_prefill_bit_identical_at_any_cpu_count(self, n, monkeypatch):
-        # one boundary layer (1), then the one-row final layer (2)
+        # one boundary layer (1), then the one-row final layer (2); with Q and K scaled
+        # by 6 every layer takes the shifted softmax
         m = 5
-        model = init_model(RunConfig(layers=3, heads=3, d_model=24, seed=n))
         n_key = 2 * (n - m) // 3
-        inp = build_prefill_input(model, make_stream(n_key, n - m - n_key, 8, seed=n),
-                                  make_text(m, 8))
         sched = PruneSchedule(l1=1, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=3,
                               n_key=n_key, n_nonkey=n - m - n_key)
-        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU submits nothing
-        want = prefill(model, inp, sched)
-        monkeypatch.undo()
-        assert want.layer_lengths[0] == n and 1 < want.layer_lengths[1] < n
-        monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # hand over even the smallest call
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # workers interleave as often as they can
-        try:
-            for cpus in (2, 3, 8):
-                monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
-                got = prefill(model, inp, sched)
-                assert got.layer_lengths == want.layer_lengths
-                assert_same_cache(got.cache, want.cache)
-                assert np.array_equal(got.final_logits, want.final_logits)
-        finally:
-            sys.setswitchinterval(interval)
+        for qk_scale, shift in ((1.0, False), (6.0, True)):
+            model = scaled_qk(init_model(RunConfig(layers=3, heads=3, d_model=24, seed=n)),
+                              qk_scale)
+            assert [_needs_shift(model, layer) for layer in range(3)] == [shift] * 3
+            inp = build_prefill_input(model, make_stream(n_key, n - m - n_key, 8, seed=n),
+                                      make_text(m, 8))
+            monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU submits nothing
+            want = prefill(model, inp, sched)
+            monkeypatch.undo()
+            assert want.layer_lengths[0] == n and 1 < want.layer_lengths[1] < n
+            monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # hand over even the smallest call
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # workers interleave as often as they can
+            try:
+                for cpus in (2, 3, 8):
+                    monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
+                    got = prefill(model, inp, sched)
+                    assert got.layer_lengths == want.layer_lengths
+                    assert_same_cache(got.cache, want.cache)
+                    assert np.array_equal(got.final_logits, want.final_logits)
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.undo()
+
+
+@functools.cache
+def small_model(heads, d_model, seed):
+    return init_model(RunConfig(layers=2, heads=heads, d_model=d_model, seed=seed))
+
+
+class TestSoftmaxShift:
+    def test_fast_on_the_mid_and_criterion_8_models_shifted_at_d_256(self):
+        mid = RunConfig(k=6, layers=12, heads=4, d_model=128, layer_boundaries=(3, 6, 9))
+        crit8 = RunConfig(k=4, layers=8, heads=2, d_model=32, layer_boundaries=(2, 4, 6))
+        wide = RunConfig(layers=12, heads=4, d_model=256)
+        for cfg, shift in ((mid, False), (crit8, False), (wide, True)):
+            for seed in (cfg.seed, 1234):
+                model = init_model(config_with(cfg, seed=seed))
+                assert [_needs_shift(model, layer) for layer in range(model.layers)] == (
+                    [shift] * model.layers)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(shape=st.sampled_from([(1, 8), (2, 32), (8, 16), (4, 128), (4, 256)]),
+           seed=st.integers(0, 2), row_seed=st.integers(0, 2**32),
+           exponent=st.floats(-6.0, 6.0), nonzero=st.integers(1, 256))
+    def test_every_score_is_within_the_bound(self, shape, seed, row_seed, exponent, nonzero):
+        """Rows of any scale and any number of nonzero entries, and the two rows whose
+        head-0 score is largest, RMS-normed by _rms_norm, through real weights."""
+        heads, d = shape
+        model = small_model(heads, d, seed)
+        x = Rng64(row_seed).next_unit_array(8 * d).reshape(8, d) * 10.0**exponent
+        x[:, nonzero:] = 0.0
+        hd = model.head_dim
+        for layer in range(model.layers):
+            wq, wk, _ = qkv_weights(model, layer)
+            u, _, vt = np.linalg.svd(wq[:, :hd] @ wk[:, :hd].T)  # top singular pair
+            h = _rms_norm(np.concatenate([x, u[:, :1].T, vt[:1]]))
+            q, k = _split_heads(h @ wq / math.sqrt(hd), heads), _split_heads(h @ wk, heads)
+            scores = q @ k.transpose(0, 2, 1)
+            assert float(np.max(np.abs(scores))) <= _score_bound(model, layer)
+
+    def test_scores_past_exps_range_take_the_shifted_path(self):
+        # Q and K scaled by 30: real scores pass 709, where exp overflows to inf
+        model = scaled_qk(init_model(RunConfig(layers=4, heads=2, d_model=32, seed=5)), 30.0)
+        inp = build_prefill_input(model, make_stream(40, 20, 8, seed=3), make_text(5, 8, seed=4))
+        wq, wk, _ = qkv_weights(model, 0)
+        h = _rms_norm(inp.x)
+        q = _split_heads(h @ wq / math.sqrt(model.head_dim), 2)
+        assert float(np.max(q @ _split_heads(h @ wk, 2).transpose(0, 2, 1))) > 709.0
+        assert all(_needs_shift(model, layer) for layer in range(model.layers))
+        sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4,
+                              n_key=40, n_nonkey=20)
+        res = prefill(model, inp, sched)
+        assert np.all(np.isfinite(res.final_logits))
+        assert_matches_dense_prefill(model, inp, sched)
+        for cache in (res.cache, apply_kv_policy(res.cache, sched.l1)):
+            out = decode(model, cache, 9, res.final_logits)
+            want = reference_decode(model, cache, 9, res.final_logits)
+            assert np.all(np.isfinite(out.logits))
+            assert np.array_equal(out.tokens, want.tokens)
+            for name in ("logits", "attn_split"):
+                assert float(np.max(np.abs(getattr(out, name) - getattr(want, name)))) <= 1e-12
 
 
 def _blas_name():
