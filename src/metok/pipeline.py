@@ -90,9 +90,8 @@ def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model,
     """One toy-model run: its pooled stream, trace, decode (steps >= 1) and prefill ms."""
     stream, _ = run_vision_stage(frames, text, cfg)
     sched = PruneSchedule.from_config(cfg, *stream.group_counts())
-    inp = build_prefill_input(model, stream, text)
     t0 = time.perf_counter()
-    res = prefill(model, inp, sched)
+    res = prefill(model, build_prefill_input(model, stream, text), sched)
     prefill_ms = (time.perf_counter() - t0) * 1000.0
     cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
     out = decode(model, cache, steps, res.final_logits) if steps >= 1 else None

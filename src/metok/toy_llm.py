@@ -11,15 +11,18 @@ Prefill applies the layer-wise schedule at each boundary layer: importance is
 measured from the text rows of that layer's attention over its incoming
 sequence, then the layer (and everything after it) runs on the pruned
 sequence; the text prompt, the last text_len rows, is never pruned. Prefill
-uses every CPU the process may use. Causal attention runs as (head, 256-row
+uses every CPU the process may use. Causal attention runs as (head, 128-row
 query block) tasks, each scored into its worker's own (block, n) workspace (q
 pre-scaled, softmax normalised after P·V), so no (heads, n, n) tensor is built.
 A layer whose scores provably fit exp's range (_score_bound) skips softmax's
 row-max shift, and no -inf goes into exp there.
-RMS norm, the projections, Wo and the MLP run in fixed pieces of 256-511 rows.
-Buffers are allocated by the calling thread and the bits do not depend on the
-CPU count. The final layer runs only the last prompt row, so the executed work
-is below the counted 4*n^2*d attention terms.
+RMS norm, the projections, Wo and the MLP run in fixed pieces of 256-511 rows,
+each piece's normed and hidden rows in its worker's scratch slot. P·V is
+written over Q and Wo adds the residual there, so beside the cache a layer
+holds its input rows, Q and the workers' scratch. Buffers are allocated by the
+calling thread and the bits do not depend on the CPU count. The final layer
+projects Q for, and runs, only the last prompt row, so the executed work is
+below the counted 4*n^2*d attention terms.
 A decode layer-step is one fused Q/K/V matmul plus ~25 small numpy calls; its
 floor is streaming the float64 weights (19 MB a forward at d_model 128, 12 layers).
 The decode-stage policy drops cached visual entries from a given layer upward
@@ -56,7 +59,7 @@ _PROJECTOR_SALT = 0x56495350
 # Query rows per causal-attention block. Fixed, not configurable: results
 # differ across block sizes by float summation order, so one constant keeps
 # every run bit-reproducible.
-_QBLOCK = 256
+_QBLOCK = 128
 # Fewest score elements (1 MiB) per query block per attention worker; a smaller
 # hand-over costs more than it saves.
 _CHUNK_SCORES = 1 << 17
@@ -138,38 +141,41 @@ def _rms_row(x: np.ndarray) -> np.ndarray:
     return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _NORM_EPS)
 
 
-def _norm_project(x: np.ndarray, w_qkv: np.ndarray, q_scale: float) -> list[np.ndarray]:
-    """Q (times q_scale), K and V of the RMS-normed rows of x, through w_qkv's column
-    blocks into three arrays, in row pieces."""
-    h, qkv = np.empty_like(x), [np.empty(x.shape) for _ in range(3)]
-    weights = np.split(w_qkv, 3, axis=1)
+def _norm_project(x: np.ndarray, w_qkv: np.ndarray, q_scale: float,
+                  first: int) -> list[np.ndarray]:
+    """Q (times q_scale) of rows [first:] and K and V of every row of x, RMS-normed, through
+    w_qkv's column blocks into three arrays, in row pieces normed into their scratch."""
+    q, k, v = np.empty((len(x) - first, x.shape[1])), np.empty(x.shape), np.empty(x.shape)
+    wq, wk, wv = np.split(w_qkv, 3, axis=1)
 
-    def rows(r: slice) -> None:
-        _rms_norm(x[r], out=h[r])
-        for w, out in zip(weights, qkv):
-            np.matmul(h[r], w, out=out[r])
-        qkv[0][r] *= q_scale
+    def rows(r: slice, h: np.ndarray) -> None:
+        _rms_norm(x[r], out=h)
+        np.matmul(h, wk, out=k[r])
+        np.matmul(h, wv, out=v[r])
+        qr = q[max(r.start - first, 0) : max(r.stop - first, 0)]  # its rows from first on, if any
+        np.matmul(h[len(h) - len(qr) :], wq, out=qr)
+        qr *= q_scale
 
-    _by_rows(len(x), rows)
-    return qkv
+    _by_rows(len(x), rows, x.shape[1])
+    return [q, k, v]
 
 
 def _add_product(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)  # x + a @ w, in row pieces
-    _by_rows(len(x), lambda r: np.add(np.matmul(a[r], w, out=out[r]), x[r], out=out[r]))
-    return out
+    """x + a @ w written over a, in row pieces; each product goes into its piece's scratch."""
+    _by_rows(len(x), lambda r, s: np.add(x[r], np.matmul(a[r], w, out=s), out=a[r]), w.shape[1])
+    return a
 
 
-def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
-    """x plus the ReLU MLP of its RMS-normed rows, in row pieces; the normed rows borrow out's."""
-    out, hidden = np.empty_like(x), np.empty((len(x), w_in.shape[1]))
+def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> None:
+    """Add the ReLU MLP of x's RMS-normed rows to x in place, in row pieces; a piece's
+    normed rows, then its output, and its hidden rows go into its scratch."""
+    d = x.shape[1]
 
-    def rows(r: slice) -> None:
-        h = np.matmul(_rms_norm(x[r], out=out[r]), w_in, out=hidden[r])
-        np.add(np.matmul(np.maximum(h, 0.0, out=h), w_out, out=out[r]), x[r], out=out[r])
+    def rows(r: slice, s: np.ndarray) -> None:
+        h = np.matmul(_rms_norm(x[r], out=s[:, :d]), w_in, out=s[:, d:])
+        np.add(x[r], np.matmul(np.maximum(h, 0.0, out=h), w_out, out=s[:, :d]), out=x[r])
 
-    _by_rows(len(x), rows)
-    return out
+    _by_rows(len(x), rows, d + w_in.shape[1])
 
 
 @dataclass
@@ -243,9 +249,9 @@ def _needs_shift(model: ToyModel, layer: int) -> bool:
     return _score_bound(model, layer) > _EXP_SAFE
 
 
-def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, upper: np.ndarray,
+def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, upper: np.ndarray,
                 shift: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """(heads, stop-start, stop) softmax numerators of query rows [start:stop].
+    """(heads, rows, stop) softmax numerators of the query rows q, rows [start:stop] of k's.
 
     q is pre-scaled by 1/sqrt(head_dim). Row i sees keys [:i+1]. Keys before
     start are visible to every row, so only the diagonal tile [start:stop,
@@ -255,8 +261,8 @@ def _causal_exp(q: np.ndarray, k: np.ndarray, start: int, stop: int, upper: np.n
     entries set to 0 after exp, so no -inf goes into exp. The block is
     written into out when given.
     """
-    rows = stop - start
-    s = np.matmul(q[:, start:stop], k[:, :stop].transpose(0, 2, 1), out=out)
+    rows = q.shape[1]
+    s = np.matmul(q, k[:, : start + rows].transpose(0, 2, 1), out=out)
     diag, masked = s[:, :, start:], upper[:rows, :rows]
     if shift:
         np.copyto(diag, -np.inf, where=masked)
@@ -308,44 +314,46 @@ def _fan_out(work, tasks: list, workers: int) -> None:
         job.result()
 
 
-def _by_rows(n: int, work) -> None:
-    """work(rows) on each piece of n rows, at most one worker per CPU; pieces depend only on n."""
+def _by_rows(n: int, work, width: int) -> None:
+    """work(rows, scratch) on each piece of n rows, at most one worker per CPU; pieces depend
+    only on n. scratch is the (piece rows, width) top of its worker's slot of one buffer."""
     pieces = max(1, n // _ROWS)
-    if pieces == 1:  # on the caller's thread
-        return work(slice(None))
     rows = [slice(p * n // pieces, (p + 1) * n // pieces) for p in range(pieces)]
-    _fan_out(lambda _, r: work(r), rows, min(_usable_cpus(), pieces))
+    workers = min(_usable_cpus(), pieces)  # a single piece runs on the caller's thread
+    scratch = np.empty((workers, -(-n // pieces), width))
+    _fan_out(lambda slot, r: work(r, scratch[slot, : r.stop - r.start]), rows, workers)
 
 
-def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, first: int = 0, *,
-                      shift: bool) -> np.ndarray:
-    """(n-first, heads*head_dim) causal attention of split-head query rows [first:n], in blocks.
+def _causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, *, shift: bool) -> np.ndarray:
+    """Causal attention of the split-head query rows q, the last rows of k's n, written over q.
 
     At most one worker per usable CPU and per head, the first on the caller's
     thread, pulls (head, query block) tasks and scores each into its own
     (_QBLOCK, n) workspace, reading only the keys the block can see. P·V goes
-    straight into the output and is normalised there. No task's arithmetic
-    depends on its worker.
+    into the rows of q the task has just read, which no other task reads, and
+    is normalised there. No task's arithmetic depends on its worker. Returns
+    q's rows as one (rows, heads*head_dim) array, a view when q is one.
     """
-    heads, n, head_dim = q.shape
-    block = min(_QBLOCK, n - first)
+    heads, rows, head_dim = q.shape
+    first, n = k.shape[1] - rows, k.shape[1]
+    block = min(_QBLOCK, rows)
     upper = _upper_mask(block)
     workers = max(1, min(_usable_cpus(), heads, heads * block * n // _CHUNK_SCORES))
     scores = np.empty((workers, 1, block, n))
-    out = np.empty((n - first, heads, head_dim))
 
-    def attend(slot: int, task: tuple[int, int]) -> None:  # one head's block into its slots of out
+    def attend(slot: int, task: tuple[int, int]) -> None:  # one head's block, over its q rows
         h, start = task
         stop = min(start + block, n)
-        e = _causal_exp(q[h : h + 1], k[h : h + 1], start, stop, upper, shift,
+        qb = q[h : h + 1, start - first : stop - first]
+        e = _causal_exp(qb, k[h : h + 1], start, upper, shift,
                         scores[slot, :, : stop - start, :stop])[0]
-        pv = np.matmul(e, v[h, :stop], out=out[start - first : stop - first, h])
+        pv = np.matmul(e, v[h, :stop], out=qb[0])
         pv /= e.sum(axis=-1, keepdims=True)
 
     # the widest blocks (they see the most keys) go first, so the last tasks are short
     _fan_out(attend, [(h, start) for start in reversed(range(first, n, block))
                       for h in range(heads)], workers)
-    return out.reshape(n - first, heads * head_dim)
+    return q.transpose(1, 0, 2).reshape(rows, heads * head_dim)
 
 
 def _prune_boundary(
@@ -359,12 +367,13 @@ def _prune_boundary(
 ) -> np.ndarray:
     """Keep mask over the incoming rows of a boundary layer, from its text rows' attention.
 
-    q (pre-scaled) and k are the layer's split-head projections of the
-    incoming rows. The last text_len rows are text and always kept; their
-    post-softmax (heads, text_len, n) block is all the importance rule reads.
+    q holds the layer's split-head queries (pre-scaled) of the last text_len
+    rows, which are text and always kept, and k its keys of every incoming row;
+    the text rows' post-softmax (heads, text_len, n) block is all the importance
+    rule reads.
     """
-    n = q.shape[1]
-    attn = _causal_exp(q, k, n - text_len, n, _upper_mask(text_len), shift)
+    n = k.shape[1]
+    attn = _causal_exp(q, k, n - text_len, _upper_mask(text_len), shift)
     attn /= attn.sum(axis=-1, keepdims=True)
     keep = np.ones(n, dtype=bool)
     for group, flag in (("key", True), ("non_key", False)):
@@ -379,43 +388,42 @@ def _prune_boundary(
 
 
 def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> PrefillResult:
-    """Forward the prompt, pruning visual tokens at each boundary layer's input.
+    """Forward the prompt, pruning visual tokens at each boundary layer's input; inp is only read.
 
     Caches each layer's keys/values for its surviving positions, so the cache's
     entry counts are the sequence lengths entering the layers. The cache takes
-    K/V from each layer's input, so the final layer runs attention, Wo and the
-    MLP only for the last prompt row, the one final_logits reads.
+    K/V from each layer's input, so the final layer projects Q, and runs
+    attention, Wo and the MLP, only for the last prompt row, the one
+    final_logits reads (for its text rows when it is a boundary layer, whose
+    scoring reads them). Attention writes its output over Q, Wo adds the
+    residual there, and the MLP updates that stream in place, so a layer holds
+    its input rows and Q beside the cache, plus per-worker scratch.
     """
     if sched.total_layers != model.layers:
         raise ValueError("schedule and model disagree on layer count")
-    x, is_key = inp.x, inp.is_key
+    x, is_key, text_len = inp.x, inp.is_key, inp.text_len
+    del inp  # a caller holding no other reference frees the input rows after layer 0
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=inp.text_len)
+    cache = KvCache(prompt_len=x.shape[0], text_len=text_len)
     q_scale = 1.0 / math.sqrt(model.head_dim)
+    last, heads = model.layers - 1, model.heads
     for layer in range(model.layers):
-        # RMS-norm and the projections act row by row, so a boundary layer
-        # scores from its incoming rows and keeps the survivors' projections.
-        q_flat, k_flat, v_flat = _norm_project(x, model.w_qkv[layer], q_scale)
+        # the final layer's queries: its last row, or the text rows a boundary scores from
+        first = 0 if layer < last else len(x) - (text_len if layer in boundaries else 1)
+        q, k, v = _norm_project(x, model.w_qkv[layer], q_scale, first)
         shift = _needs_shift(model, layer)
         if layer in boundaries:
-            keep = _prune_boundary(
-                sched, layer, _split_heads(q_flat, model.heads),
-                _split_heads(k_flat, model.heads), is_key, inp.text_len, shift,
-            )
+            # RMS-norm and the projections act row by row, so a boundary layer
+            # scores from its incoming rows and keeps the survivors' projections.
+            keep = _prune_boundary(sched, layer, _split_heads(q[len(q) - text_len :], heads),
+                                   _split_heads(k, heads), is_key, text_len, shift)
             x, is_key = x[keep], is_key[keep[: len(is_key)]]
-            q_flat, k_flat, v_flat = q_flat[keep], k_flat[keep], v_flat[keep]
-        n = x.shape[0]
-        cache.k.append(k_flat)
-        cache.v.append(v_flat)
-        first = n - 1 if layer == model.layers - 1 else 0
-        # no name keeps the attention output alive into the next layer's workspace
-        x = _add_product(x[first:], _causal_attention(
-            _split_heads(q_flat, model.heads),
-            _split_heads(k_flat, model.heads),
-            _split_heads(v_flat, model.heads),
-            first, shift=shift,
-        ), model.wo[layer])
-        x = _mlp(x, model.w_in[layer], model.w_out[layer])
+            q, k, v = q[keep[first:]], k[keep], v[keep]
+        cache.k.append(k)
+        cache.v.append(v)
+        attn = _causal_attention(*(_split_heads(a, heads) for a in (q, k, v)), shift=shift)
+        x = _add_product(x[len(x) - len(q) :], attn, model.wo[layer])  # the stream, in q's rows
+        _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
     return PrefillResult(cache=cache, final_logits=final_logits,
                          layer_lengths=cache.entry_counts())

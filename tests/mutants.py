@@ -54,8 +54,8 @@ MUTANTS = (
     ),
     Mutant(
         "prefill_projects_k_q_v", "metok/toy_llm.py",
-        "    weights = np.split(w_qkv, 3, axis=1)\n",
-        "    weights = [np.split(w_qkv, 3, axis=1)[i] for i in (1, 0, 2)]\n",
+        "    wq, wk, wv = np.split(w_qkv, 3, axis=1)\n",
+        "    wk, wq, wv = np.split(w_qkv, 3, axis=1)\n",
         ("tests/test_toy_llm.py::TestBlockedAttention::test_criterion_8_fixture_matches_dense_prefill",),
     ),
     Mutant(
@@ -83,6 +83,24 @@ MUTANTS = (
         "scores[0, :, : stop - start, :stop]",
         ("tests/test_toy_llm.py::TestBlockedAttention::test_head_chunks_bit_identical_to_one_chunk",
          "tests/test_toy_llm.py::TestBlockedAttention::test_prefill_bit_identical_at_any_cpu_count"),
+    ),
+    Mutant(
+        "row_piece_workers_share_slot_0", "metok/toy_llm.py",
+        "work(r, scratch[slot, : r.stop - r.start])",
+        "work(r, scratch[0, : r.stop - r.start])",
+        ("tests/test_toy_llm.py::TestBlockedAttention::test_prefill_bit_identical_at_any_cpu_count",),
+    ),
+    Mutant(
+        "layer_0_updates_its_input_in_place", "metok/toy_llm.py",
+        "out=a[r]), w.shape[1])\n    return a\n",
+        "out=x[r]), w.shape[1])\n    return x\n",
+        ("tests/test_toy_llm.py::TestPrefill::test_prefill_never_writes_its_input",),
+    ),
+    Mutant(
+        "final_layer_projects_q_from_row_n_minus_2", "metok/toy_llm.py",
+        "(text_len if layer in boundaries else 1)",
+        "(text_len if layer in boundaries else 2)",
+        ("tests/test_toy_llm.py::TestPrefill::test_final_layer_queries_only_the_rows_it_reads",),
     ),
     Mutant(
         "softmax_never_shifts", "metok/toy_llm.py",

@@ -12,12 +12,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_snippet_occurs_once_and_names_a_test(tmp_path):
-    shutil.copytree(SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    # each mutant on a fresh copy of src/, as the runner applies them
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
-    for mutant in MUTANTS:
+    for i, mutant in enumerate(MUTANTS):
         assert mutant.tests
-        apply(mutant, tmp_path / "src")
-        assert mutant.replacement in (tmp_path / "src" / mutant.file).read_text()
+        src = tmp_path / str(i) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        apply(mutant, src)
+        assert mutant.replacement in (src / mutant.file).read_text()
 
 
 @pytest.mark.parametrize("snippet", ["no such code", "import numpy as np\n\n"])

@@ -277,6 +277,42 @@ class TestPrefill:
             PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(n_tags, dtype=bool), text_len=text_len)
         PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(4, dtype=bool), text_len=2)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("pruned", [True, False])
+    def test_prefill_never_writes_its_input(self, pruned, cpus, monkeypatch):
+        # 606 rows: two row pieces; the pruned schedule's last boundary is the final layer
+        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
+        model = init_model(RunConfig(layers=4, heads=2, d_model=16, seed=21))
+        inp = build_prefill_input(model, make_stream(400, 200, 8), make_text(6, 8))
+        sched = (PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4,
+                               n_key=400, n_nonkey=200) if pruned else disabled_schedule(4))
+        before = copy.deepcopy(inp)
+        res = prefill(model, inp, sched)
+        assert (res.layer_lengths[-1] < 606) == pruned
+        for name in ("x", "is_key"):
+            assert getattr(inp, name).tobytes() == getattr(before, name).tobytes()
+
+    @pytest.mark.parametrize("l3", [3, 4])
+    def test_final_layer_queries_only_the_rows_it_reads(self, l3, monkeypatch):
+        # final_logits reads the last row; a final boundary layer (l3=4) scores from its
+        # text rows, so it projects their queries and attends from them
+        calls = []
+        attend = toy_llm._causal_attention
+
+        def recording(q, k, v, *, shift):
+            calls.append((q.shape[1], k.shape[1]))
+            return attend(q, k, v, shift=shift)
+
+        monkeypatch.setattr(toy_llm, "_causal_attention", recording)
+        m = 6
+        model = init_model(RunConfig(layers=5, heads=2, d_model=16, seed=22))
+        inp = build_prefill_input(model, make_stream(300, 100, 8), make_text(m, 8))
+        sched = PruneSchedule(l1=1, l2=2, l3=l3, r=0.5, alpha=0.5, total_layers=5,
+                              n_key=300, n_nonkey=100)
+        res = prefill(model, inp, sched)
+        assert [n for _, n in calls] == res.layer_lengths
+        assert [rows for rows, _ in calls] == res.layer_lengths[:-1] + [m if l3 == 4 else 1]
+
 
 def random_qkv(heads, n, head_dim, seed):
     rng = Rng64(seed)
@@ -307,30 +343,31 @@ def assert_matches_dense_prefill(model, inp, sched):
 
 
 class TestBlockedAttention:
-    B = toy_llm._QBLOCK
+    B, R = toy_llm._QBLOCK, toy_llm._ROWS
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 17])
     def test_matches_dense_oracle(self, n):
         # the helpers take q pre-scaled by 1/sqrt(head_dim); the oracle scales its own
         q, k, v = random_qkv(2, n, 4, seed=n)
         want = (dense_probs(q, k) @ v).transpose(1, 0, 2).reshape(n, -1)
         for first, shift in itertools.product((0, n // 2, n - 1), (False, True)):
-            got = _causal_attention(q / math.sqrt(4), k, v, first, shift=shift)
+            got = _causal_attention((q / math.sqrt(4))[:, first:], k, v, shift=shift)
             assert float(np.max(np.abs(got - want[first:]))) <= 1e-12  # rows [first:n] only
 
     @pytest.mark.parametrize("heads", [1, 3, 4])
-    @pytest.mark.parametrize("n", [1, B + 1, 2 * B + 17])
+    @pytest.mark.parametrize("n", [1, B + 1, 2 * B + 1, 4 * B + 17])
     def test_head_chunks_bit_identical_to_one_chunk(self, n, heads, monkeypatch):
         q, k, v = random_qkv(heads, n, 4, seed=n + heads)
         for first, shift in itertools.product((0, n - 1), (False, True)):
             monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
             monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU needs no pool
-            want = _causal_attention(q, k, v, first, shift=shift)
+            want = _causal_attention(q[:, first:].copy(), k, v, shift=shift)
             monkeypatch.undo()
             monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # chunk even the smallest call
             for cpus in (2, 3, 8):  # 3 heads on 2 CPUs split unevenly; 8 is capped at heads
                 monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
-                assert np.array_equal(_causal_attention(q, k, v, first, shift=shift), want)
+                got = _causal_attention(q[:, first:].copy(), k, v, shift=shift)
+                assert np.array_equal(got, want)
             monkeypatch.undo()
 
     def test_small_calls_stay_on_the_callers_thread(self, monkeypatch):
@@ -340,19 +377,19 @@ class TestBlockedAttention:
         q, k, v = random_qkv(4, self.B - 1, 4, seed=3)
         _causal_attention(q, k, v, shift=False)
         q, k, v = random_qkv(4, 2 * self.B + 17, 4, seed=4)
-        _causal_attention(q, k, v, 2 * self.B + 16, shift=False)
+        _causal_attention(q[:, -1:], k, v, shift=False)
 
-    @pytest.mark.parametrize("m", [1, 7, B + 3])
+    @pytest.mark.parametrize("m", [1, 7, B + 3, 2 * B + 3])
     def test_text_rows_match_dense_rows(self, m):
         n = 2 * self.B + 17
         q, k, _ = random_qkv(3, n, 4, seed=m)
         want = dense_probs(q, k)[:, n - m :]
-        shifted = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_mask(m), True)
+        shifted = _causal_exp(q[:, n - m :] / math.sqrt(4), k, n - m, _upper_mask(m), True)
         assert shifted.shape == (3, m, n)
         # unnormalised: each shifted row's largest numerator is exp(0)
         assert np.array_equal(shifted.max(axis=-1), np.ones((3, m)))
         # unshifted: exp of the scores themselves, and exactly 0 where a row may not look
-        plain = _causal_exp(q / math.sqrt(4), k, n - m, n, _upper_mask(m), False)
+        plain = _causal_exp(q[:, n - m :] / math.sqrt(4), k, n - m, _upper_mask(m), False)
         scores = (q / math.sqrt(4))[:, n - m :] @ k.transpose(0, 2, 1)
         visible = np.arange(n)[None, :] <= np.arange(n - m, n)[:, None]
         assert np.array_equal(plain, np.where(visible, np.exp(scores), 0.0))
@@ -438,8 +475,8 @@ class TestBlockedAttention:
         n = n_vis + m
         model = init_model(RunConfig(layers=2, heads=heads, d_model=16, seed=8))
         inp = build_prefill_input(model, make_stream(n_vis, 0, 8), make_text(m, 8))
-        workspace_bytes = 2 * self.B * n * 8        # one (B, n) block per worker: about 4.9 MB
-        other_bytes = 2 * 2**20  # the (B, B) mask tile, the (n, d) rows and cache, the MLP rows
+        workspace_bytes = 2 * self.B * n * 8        # one (B, n) block per worker: about 2.5 MB
+        other_bytes = 2**20  # the (B, B) mask tile, the (n, d) rows and cache, the row scratch
         tracemalloc.start()
         try:
             prefill(model, inp, disabled_schedule(2))
@@ -448,7 +485,26 @@ class TestBlockedAttention:
             tracemalloc.stop()
         assert peak < workspace_bytes + other_bytes < heads * self.B * n * 8
 
-    @pytest.mark.parametrize("n", [B - 1, B, 2 * B - 1, 2 * B, 2 * B + 17, 1100])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_working_set_is_the_cache_plus_scratch(self, cpus, monkeypatch):
+        # 1,100 rows, 4 row pieces; the bound holds a layer's stream and Q and one more
+        # (n, d) array, where a whole (n, 4d) MLP hidden array alone would not fit
+        monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
+        n, m, d = 1100, 8, 256
+        model = init_model(RunConfig(layers=3, heads=4, d_model=d, seed=8))
+        inp = build_prefill_input(model, make_stream(n - m, 0, 8), make_text(m, 8))
+        workers = min(cpus, model.heads)
+        tracemalloc.start()
+        try:
+            res = prefill(model, inp, disabled_schedule(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache_bytes = sum(a.nbytes for a in res.cache.k + res.cache.v)
+        assert peak - cache_bytes < 3 * n * d * 8 + workers * self.B * n * 8 + 2**20
+
+    # block edges, then row-piece edges
+    @pytest.mark.parametrize("n", [B - 1, B, 2 * B - 1, 2 * B, 2 * R - 1, 2 * R, 4 * B + 17, 1100])
     def test_prefill_bit_identical_at_any_cpu_count(self, n, monkeypatch):
         # one boundary layer (1), then the one-row final layer (2); with Q and K scaled
         # by 6 every layer takes the shifted softmax
@@ -565,7 +621,7 @@ def test_gemm_row_pieces_give_the_rows_of_the_whole_product(k_dim, n_out, column
         a = rng.next_unit_array(n * k_dim).reshape(n, k_dim)
         whole = a @ w
         pieces = []
-        toy_llm._by_rows(n, pieces.append)  # the pieces prefill cuts n rows into
+        toy_llm._by_rows(n, lambda r, _: pieces.append(r), 0)  # the pieces of n rows
         for r in pieces:
             rows = len(whole[r])
             assert rows >= toy_llm._ROWS
