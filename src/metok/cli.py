@@ -321,8 +321,6 @@ def build_parser() -> _Parser:
     _add_io_args(sweep, "sweep", _sweep)
     sweep.add_argument("--param", action="append", required=True,
                        help="axis as name=v1,v2,... (repeatable)")
-    sweep.add_argument("--analytic", action="store_true",
-                       help="no effect: every sweep prices its points from the plan")
     return parser
 
 

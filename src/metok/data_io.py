@@ -32,14 +32,11 @@ import numpy as np
 from .kernels import Rng64
 
 __all__ = [
-    "BadMagicError",
     "ConfigError",
-    "DimensionOverflowError",
     "FrameEmbeddings",
     "MebfError",
     "RunConfig",
     "TextEmbedding",
-    "TruncatedPayloadError",
     "atomic_write",
     "gen_synthetic",
     "load_config",
@@ -68,18 +65,6 @@ RUNTIME_FIELDS = ("event_score", "frame_reduce", "baseline_stride")  # CLI flags
 
 class MebfError(ValueError):
     """Malformed MEBF payload."""
-
-
-class BadMagicError(MebfError):
-    pass
-
-
-class TruncatedPayloadError(MebfError):
-    pass
-
-
-class DimensionOverflowError(MebfError):
-    pass
 
 
 class ConfigError(ValueError):
@@ -219,12 +204,12 @@ def write_embeddings(obj: FrameEmbeddings | TextEmbedding, path: str | Path) -> 
 
 
 def record_elements(rec_type: int, dims: tuple[int, ...], name: str) -> int:
-    """Element count of a record with these header dims; DimensionOverflowError past a budget."""
+    """Element count of a record with these header dims; MebfError past a budget."""
     count = math.prod(dims) if rec_type == REC_FRAMES else sum(dims)
     held, budget = ((math.prod(dims[1:]), MAX_FRAME_ELEMENTS) if rec_type == REC_FRAMES
                     else (count, MAX_TEXT_ELEMENTS))
     if count > MAX_ELEMENTS or held > budget:
-        raise DimensionOverflowError(f"{name} claims {count} elements, over the MEBF budget")
+        raise MebfError(f"{name} claims {count} elements, over the MEBF budget")
     return count
 
 
@@ -240,9 +225,9 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
     with open(path, "rb") as fh:
         head = fh.read(6)
         if len(head) < 6:
-            raise TruncatedPayloadError(f"{path}: file shorter than MEBF header")
+            raise MebfError(f"{path}: file shorter than MEBF header")
         if head[:4] != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+            raise MebfError(f"{path}: bad magic {head[:4]!r}")
         if head[4] != VERSION:
             raise MebfError(f"{path}: unsupported version {head[4]}")
         rec_type = head[5]
@@ -251,14 +236,14 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
         n_dims = 4 if rec_type == REC_FRAMES else 2
         raw = fh.read(4 * n_dims)
         if len(raw) < 4 * n_dims:
-            raise TruncatedPayloadError(f"{path}: record header truncated")
+            raise MebfError(f"{path}: record header truncated")
         dims = struct.unpack(f"<{n_dims}I", raw)
         if min(dims) < 1:
             raise MebfError(f"{path}: zero dimension in header")
         count = record_elements(rec_type, dims, f"{path}: header")
         payload = size - fh.tell()
         if payload < 4 * count:
-            raise TruncatedPayloadError(
+            raise MebfError(
                 f"{path}: payload holds {payload // 4} elements, header claims {count}"
             )
         if payload > 4 * count:
@@ -271,7 +256,7 @@ def read_embeddings(path: str | Path) -> FrameEmbeddings | TextEmbedding:
                 for f in range(0, t, len(chunk)):
                     frames = chunk[: t - f]
                     if fh.readinto(frames) != frames.nbytes:
-                        raise TruncatedPayloadError(f"{path}: payload ended early")
+                        raise MebfError(f"{path}: payload ended early")
                     with np.errstate(invalid="ignore"):  # +inf and -inf sum to NaN, refused below
                         np.add.reduce(frames, axis=1, dtype=np.float64, out=sums[f : f + len(frames)])
                 tokens = np.memmap(fh, "<f4", mode="r", offset=offset, shape=(t, h * w, d))
@@ -377,9 +362,6 @@ class RunConfig:
     def __post_init__(self):
         self.layer_boundaries = tuple(int(b) for b in self.layer_boundaries)
         self.disable_stages = tuple(self.disable_stages)
-        self.validate()
-
-    def validate(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         for name in ("alpha", "beta", "r"):

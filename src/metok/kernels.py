@@ -80,7 +80,7 @@ def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def avg_pool_2d(frame: np.ndarray, stride: int) -> np.ndarray:
-    """Average-pool a (h, w) or (h, w, d) grid with square windows of the given stride.
+    """Average-pool an (h, w, d) grid with square windows of the given stride.
 
     Output dims are ceil(h/stride) x ceil(w/stride). Edge windows average only
     the cells that fall inside the grid (no padding), so a constant grid pools
@@ -89,9 +89,9 @@ def avg_pool_2d(frame: np.ndarray, stride: int) -> np.ndarray:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim not in (2, 3):
-        raise ValueError("expected a (h, w) or (h, w, d) grid")
-    h, w = frame.shape[0], frame.shape[1]
+    if frame.ndim != 3:
+        raise ValueError("expected an (h, w, d) grid")
+    h, w = frame.shape[:2]
     if stride == 1:
         return frame.copy()
     row_starts = np.arange(0, h, stride)
@@ -99,10 +99,7 @@ def avg_pool_2d(frame: np.ndarray, stride: int) -> np.ndarray:
     sums = np.add.reduceat(np.add.reduceat(frame, row_starts, axis=0), col_starts, axis=1)
     row_sizes = np.minimum(row_starts + stride, h) - row_starts
     col_sizes = np.minimum(col_starts + stride, w) - col_starts
-    counts = np.outer(row_sizes, col_sizes).astype(np.float64)
-    if frame.ndim == 3:
-        counts = counts[:, :, None]
-    return sums / counts
+    return sums / np.outer(row_sizes, col_sizes).astype(np.float64)[:, :, None]
 
 
 def top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:

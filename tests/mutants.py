@@ -128,6 +128,30 @@ MUTANTS = (
         "np.where(key_frame, s1, s2)",
         ("tests/test_acceptance.py::test_criterion_3_token_count_closed_form",),
     ),
+    Mutant(
+        "event_may_key_no_frame", "metok/vision.py",
+        "count = max(1, ceil_scaled(beta, len(ev)))",
+        "count = ceil_scaled(beta, len(ev))",
+        ("tests/test_vision.py::TestSelectKeys::test_tiny_beta_still_keys_a_frame_in_every_event",),
+    ),
+    Mutant(
+        "mebf_trailing_bytes_allowed", "metok/data_io.py",
+        "        if payload > 4 * count:\n",
+        "        if payload > 4 * count + 4:\n",
+        ("tests/test_data_io.py::TestMebfErrors::test_trailing_bytes",),
+    ),
+    Mutant(
+        "mebf_frame_budget_ignored", "metok/data_io.py",
+        "(math.prod(dims[1:]), MAX_FRAME_ELEMENTS)",
+        "(math.prod(dims[1:]), MAX_ELEMENTS)",
+        ("tests/test_data_io.py::TestMebfErrors::test_dims_one_over_each_budget_are_refused[frame]",),
+    ),
+    Mutant(
+        "frames_checked_for_nan_only", "metok/data_io.py",
+        "if not all(np.isfinite(self.tokens[i]).all() for i in bad):",
+        "if not all(~np.isnan(self.tokens[i]).all() for i in bad):",
+        ("tests/test_data_io.py::TestMebfErrors::test_non_finite_payload[inf]",),
+    ),
 )
 
 

@@ -267,11 +267,12 @@ def test_criterion_7_nesting_and_monotonicity():
     report("7 (nesting and monotonicity, 3x500 cases)", t0, 30.0)
 
 
-def criterion_8_io(tmp_path):
-    """Criterion 8's inputs and config on disk; returns their CLI arguments."""
+def criterion_8_io(tmp_path, seed=11, events=4):
+    """Criterion 8's config and the inputs of `gen --seed SEED --frames 16 --grid 4x4 --dim 16
+    --events EVENTS` (criterion 8's own by default) on disk; returns their CLI arguments."""
     data = tmp_path / "data"
-    assert main(["gen", "--seed", "11", "--frames", "16", "--grid", "4x4",
-                 "--dim", "16", "--events", "4", "--out", str(data)]) == 0
+    assert main(["gen", "--seed", str(seed), "--frames", "16", "--grid", "4x4",
+                 "--dim", "16", "--events", str(events), "--out", str(data)]) == 0
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "k": 4, "layers": 8, "heads": 2, "d_model": 32, "layer_boundaries": [2, 4, 6],
@@ -325,8 +326,10 @@ def test_criterion_8_compress_and_sweep_match_golden(tmp_path, monkeypatch):
     and point reports.
 
     None of them depends on logits, so the goldens hold on every platform. A
-    sweep prices every point from its plan, so with or without --analytic it
-    writes the same golden and never reaches the toy model.
+    sweep prices every point from its plan and never reaches the toy model.
+    The flatten golden comes from inputs on which flatten with max event scores
+    cuts differently from every other pair of modes, so it shows that both
+    flags reached the vision stage.
     """
     def no_toy_model(cfg):
         raise AssertionError("a sweep built the toy model")
@@ -336,13 +339,18 @@ def test_criterion_8_compress_and_sweep_match_golden(tmp_path, monkeypatch):
     sweep = ["sweep", *io_args, "--steps", "5",
              "--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"]
     assert main(["compress", *io_args, "--out", str(tmp_path / "compress")]) == 0
-    assert main(["compress", *io_args, "--out", str(tmp_path / "compress_flatten"),
-                 "--frame-reduce", "flatten", "--event-score", "max"]) == 0
-    assert main([*sweep, "--out", str(tmp_path / "sweep"), "--analytic"]) == 0
-    assert main([*sweep, "--out", str(tmp_path / "sweep_plain")]) == 0
-    for out, command in (("compress", "compress"), ("compress_flatten", "compress_flatten"),
-                         ("sweep", "sweep"), ("sweep_plain", "sweep")):
-        golden = GOLDEN_CRITERION_8 / command
+    assert main([*sweep, "--out", str(tmp_path / "sweep")]) == 0
+    flatten_io = criterion_8_io(tmp_path / "flatten", seed=1, events=2)
+    modes = {"compress_flatten": ("flatten", "max"), "mean_mean": ("mean", "mean"),
+             "flatten_mean": ("flatten", "mean"), "mean_max": ("mean", "max")}
+    for out, (reduce, score) in modes.items():
+        assert main(["compress", *flatten_io, "--out", str(tmp_path / out),
+                     "--frame-reduce", reduce, "--event-score", score]) == 0
+    flatten_golden = (GOLDEN_CRITERION_8 / "compress_flatten" / "stream_stats.json").read_bytes()
+    for other in ("mean_mean", "flatten_mean", "mean_max"):
+        assert (tmp_path / other / "stream_stats.json").read_bytes() != flatten_golden
+    for out in ("compress", "compress_flatten", "sweep"):
+        golden = GOLDEN_CRITERION_8 / out
         want = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
         got = sorted(p.relative_to(tmp_path / out)
                      for p in (tmp_path / out).rglob("*")

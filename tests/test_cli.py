@@ -244,8 +244,7 @@ class TestSweep:
         rc = main(["sweep", "--config", str(config_path),
                    "--input", str(data_dir / "video.mebf"),
                    "--text", str(data_dir / "text.mebf"),
-                   "--out", str(out), "--param", "r=0.3,0.55,0.7", "--analytic",
-                   "--steps", "4"])
+                   "--out", str(out), "--param", "r=0.3,0.55,0.7", "--steps", "4"])
         assert rc == 0
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 4
@@ -260,7 +259,7 @@ class TestSweep:
         rc = main(["sweep", "--config", str(config_path),
                    "--input", str(data_dir / "video.mebf"),
                    "--text", str(data_dir / "text.mebf"),
-                   "--out", str(out), "--param", "s1=2,5", "--analytic", "--steps", "4"])
+                   "--out", str(out), "--param", "s1=2,5", "--steps", "4"])
         assert rc == 2
         assert not list(out.glob("point_*"))
 
@@ -277,7 +276,7 @@ class TestSweep:
         rc = main(["sweep", "--config", str(config_path),
                    "--input", str(data_dir / "video.mebf"),
                    "--text", str(data_dir / "text.mebf"),
-                   "--out", str(out), "--param", "r=0.3", "--param", "r=0.7", "--analytic"])
+                   "--out", str(out), "--param", "r=0.3", "--param", "r=0.7"])
         assert rc == 1
         assert not out.exists()
 
@@ -351,14 +350,16 @@ class TestExitCodes:
     (["diag", "attention-ratio"], [], "bad-config", 2),
     (["diag", "attention-ratio"], ["--steps", "1"], None, 1),
     # the second point's k exceeds the fixture's 12 frames, after the first point ran
-    (["sweep"], ["--param", "k=1,13", "--analytic"], None, 2),
+    (["sweep"], ["--param", "k=1,13"], None, 2),
     (["simulate"], ["--steps", "-1"], None, 1),
-    (["sweep"], ["--steps", "-1", "--param", "r=0.3", "--analytic"], None, 1),
+    (["sweep"], ["--steps", "-1", "--param", "r=0.3"], None, 1),
+    # sweep has no --analytic: every sweep prices its points from the plan
+    (["sweep"], ["--param", "r=0.3", "--analytic"], None, 1),
     (["simulate"], ["--analytic"], "missing-input", 2),
     (["simulate"], ["--analytic"], "non-finite", 2),
 ], ids=["compress-bad-config", "simulate-bad-config", "diag-bad-config", "diag-one-step",
         "sweep-k-above-frames", "simulate-negative-steps", "sweep-negative-steps",
-        "simulate-missing-input", "simulate-non-finite"])
+        "sweep-analytic", "simulate-missing-input", "simulate-non-finite"])
 def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path, monkeypatch,
                                           command, extra, fault, code):
     class SlowSha256:  # 1 ms a chunk: the 12 KiB video alone is 770 chunks of 16 bytes
@@ -402,8 +403,7 @@ def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
     monkeypatch.setattr(vision, "avg_pool_2d", no_pooling)
     io_args = criterion_8_io(tmp_path)
     for command, extra in (("simulate", ["--analytic"]), ("compress", []),
-                           ("sweep", ["--analytic", "--param", "r=0.3,0.55",
-                                      "--param", "alpha=0.4,0.8"])):
+                           ("sweep", ["--param", "r=0.3,0.55", "--param", "alpha=0.4,0.8"])):
         steps = [] if command == "compress" else ["--steps", "5"]
         assert main([command, *io_args, "--out", str(tmp_path / command), *steps, *extra]) == 0
     # the analytic simulate prices exactly what the toy golden measured
@@ -473,8 +473,8 @@ def test_sha256_reads_in_chunks(tmp_path):
     (["compress"], []),
     (["simulate"], ["--analytic", "--steps", "5"]),
     (["diag", "attention-ratio"], ["--steps", "3"]),
-    (["sweep"], ["--analytic", "--param", "r=0.3,0.55", "--steps", "5"]),
-], ids=["compress", "simulate-analytic", "diag", "sweep-analytic"])
+    (["sweep"], ["--param", "r=0.3,0.55", "--steps", "5"]),
+], ids=["compress", "simulate-analytic", "diag", "sweep"])
 def test_manifest_input_digests_are_the_files_sha256(tmp_path, command, extra):
     io_args = criterion_8_io(tmp_path)
     threads = threading.active_count()
@@ -503,32 +503,13 @@ def test_inputs_are_hashed_off_the_main_thread(tmp_path, monkeypatch):
 
 
 # What the metok console script loads before its first command, then the thread
-# count the loaded OpenBLAS reports (None where it cannot be asked; the same
-# probe as bench/run.py) and the BLAS variable as the process sees it.
+# count the loaded OpenBLAS reports and the BLAS variable as the process sees it.
 _BLAS_PROBE = """
-import ctypes, json, os, sys
+import json, os, sys
+from blas_probe import blas_threads
 if sys.argv[1:] == ["numpy-first"]:
     import numpy
 import metok.cli
-
-def blas_threads():
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
 
 print(json.dumps({"threads": blas_threads(), "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
@@ -545,7 +526,8 @@ def test_metok_entry_pins_blas_to_one_thread(preset, order, want_env):
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, str(Path(__file__).parent), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *order], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     got = json.loads(proc.stdout)

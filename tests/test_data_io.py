@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from metok import data_io
 from metok.data_io import (
-    BadMagicError,
     ConfigError,
-    DimensionOverflowError,
     FrameEmbeddings,
     MebfError,
     RunConfig,
     TextEmbedding,
-    TruncatedPayloadError,
     gen_synthetic,
     load_config,
     read_embeddings,
@@ -71,7 +68,7 @@ class TestMebfErrors:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.mebf"
         p.write_bytes(b"XXXX" + bytes(30))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(MebfError, match="bad magic"):
             read_embeddings(p)
 
     def test_truncated_payload(self, tmp_path):
@@ -80,7 +77,7 @@ class TestMebfErrors:
         write_embeddings(emb, p)
         data = p.read_bytes()
         p.write_bytes(data[:-8])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(MebfError, match="payload holds 22 elements, header claims 24"):
             read_embeddings(p)
 
     def test_dimension_overflow(self, tmp_path):
@@ -89,7 +86,7 @@ class TestMebfErrors:
         p = tmp_path / "v.mebf"
         header = struct.pack("<4sBB4I", b"MEBF", 1, 1, 2**20, 2**10, 2**10, 16)
         p.write_bytes(header + bytes(64))
-        with pytest.raises(DimensionOverflowError):
+        with pytest.raises(MebfError, match="over the MEBF budget"):
             read_embeddings(p)
 
     def test_unknown_record_type(self, tmp_path):
@@ -116,7 +113,7 @@ class TestMebfErrors:
             fh.truncate(256 << 20)
         tracemalloc.start()
         try:
-            with pytest.raises(BadMagicError):
+            with pytest.raises(MebfError, match="bad magic"):
                 read_embeddings(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -182,7 +179,7 @@ class TestMebfErrors:
             fh.truncate(len(header) + 4 * (sum(dims) if rec_type == 2 else int(np.prod(dims))))
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionOverflowError):
+            with pytest.raises(MebfError, match="over the MEBF budget"):
                 read_embeddings(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -194,6 +191,15 @@ class TestMebfErrors:
         assert count(data_io.REC_TEXT, ((1 << 20) - 1, 1), "text") == data_io.MAX_TEXT_ELEMENTS
         assert count(data_io.REC_FRAMES, (1, 1, 1, 1 << 24), "frame") == data_io.MAX_FRAME_ELEMENTS
         assert count(data_io.REC_FRAMES, (128, 4096, 4096, 1), "video") == data_io.MAX_ELEMENTS
+
+    @pytest.mark.parametrize("rec_type, dims", [
+        (data_io.REC_TEXT, ((1 << 20), 1)),
+        (data_io.REC_FRAMES, (1, 1, 1, (1 << 24) + 1)),
+        (data_io.REC_FRAMES, (129, 4096, 4096, 1)),  # each frame at its budget
+    ], ids=["text", "frame", "total"])
+    def test_dims_one_over_each_budget_are_refused(self, rec_type, dims):
+        with pytest.raises(MebfError, match="over the MEBF budget"):
+            data_io.record_elements(rec_type, dims, "record")
 
 
 class TestStreamingMemory:

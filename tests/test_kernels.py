@@ -93,27 +93,27 @@ class TestCosines:
 class TestAvgPool2d:
     def test_stride_one_identity(self):
         rng = Rng64(3)
-        grid = rng.next_unit_array(24).reshape(4, 6)
+        grid = rng.next_unit_array(24).reshape(4, 6, 1)
         assert np.array_equal(avg_pool_2d(grid, 1), grid)
 
     def test_two_by_two(self):
-        out = avg_pool_2d(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 2.5
+        out = avg_pool_2d(np.array([[1.0, 2.0], [3.0, 4.0]])[..., None], 2)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == 2.5
 
     def test_constant_grid(self):
-        out = avg_pool_2d(np.ones((4, 4)), 3)
-        assert out.shape == (2, 2)
+        out = avg_pool_2d(np.ones((4, 4, 1)), 3)
+        assert out.shape == (2, 2, 1)
         assert np.all(out == 1.0)
 
     def test_output_dims_ceiling(self):
-        out = avg_pool_2d(np.ones((5, 7)), 3)
-        assert out.shape == (2, 3)
+        out = avg_pool_2d(np.ones((5, 7, 1)), 3)
+        assert out.shape == (2, 3, 1)
 
     def test_stride_larger_than_grid(self):
         # a frame never vanishes entirely
-        out = avg_pool_2d(np.ones((2, 2)), 5)
-        assert out.shape == (1, 1)
+        out = avg_pool_2d(np.ones((2, 2, 1)), 5)
+        assert out.shape == (1, 1, 1)
 
     def test_per_channel(self):
         grid = np.stack([np.full((2, 2), 1.0), np.full((2, 2), 3.0)], axis=-1)
@@ -123,15 +123,20 @@ class TestAvgPool2d:
 
     def test_edge_window_mean(self):
         # rightmost window of a 2x3 grid under stride 2 covers one column only
-        grid = np.array([[1.0, 2.0, 30.0], [3.0, 4.0, 50.0]])
+        grid = np.array([[1.0, 2.0, 30.0], [3.0, 4.0, 50.0]])[..., None]
         out = avg_pool_2d(grid, 2)
-        assert out.shape == (1, 2)
-        assert out[0, 0] == 2.5
-        assert out[0, 1] == 40.0
+        assert out.shape == (1, 2, 1)
+        assert out[0, 0, 0] == 2.5
+        assert out[0, 1, 0] == 40.0
 
     def test_bad_stride(self):
         with pytest.raises(ValueError):
-            avg_pool_2d(np.ones((2, 2)), 0)
+            avg_pool_2d(np.ones((2, 2, 1)), 0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2, 1)])
+    def test_grid_not_h_w_d_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"expected an \(h, w, d\) grid"):
+            avg_pool_2d(np.ones(shape), 1)
 
 
 class TestTopKStable:

@@ -806,12 +806,13 @@ def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
         assert float(np.max(np.abs(got - ref), initial=0.0)) <= 1e-12
 
 
-# One toy simulation; prints digests of both decodes, the BLAS thread count
-# (None where OpenBLAS cannot be asked) and the CPUs the process may use (None
-# where that cannot be asked). With the argument "one-cpu" it first pins itself
-# to one CPU, so prefill attention runs all heads in one chunk.
+# One toy simulation; prints digests of both decodes, the thread count the loaded
+# OpenBLAS reports and the CPUs the process may use (None where that cannot be
+# asked). With the argument "one-cpu" it first pins itself to one CPU, so prefill
+# attention runs all heads in one chunk.
 _THREAD_RUN = """
-import ctypes, hashlib, json, os, sys
+import hashlib, json, os, sys
+from blas_probe import blas_threads
 if sys.argv[1:] == ["one-cpu"] and hasattr(os, "sched_setaffinity"):
     try:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -820,19 +821,6 @@ if sys.argv[1:] == ["one-cpu"] and hasattr(os, "sched_setaffinity"):
 cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
 from metok.data_io import RunConfig, gen_synthetic
 from metok.pipeline import run_simulation
-
-def blas_threads():
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(ctypes.CDLL(lib), symbol, None)
-            if fn is not None:
-                return int(fn())
-    return None
 
 frames, text = gen_synthetic(16, 8, 8, 32, seed=5, num_segments=4)
 cfg = RunConfig(k=4, layers=4, heads=4, d_model=64, layer_boundaries=(1, 2, 3))
@@ -851,7 +839,8 @@ def test_simulation_bit_identical_across_blas_thread_counts():
     results = []
     for threads, pin in (("1", []), ("2", []), ("1", ["one-cpu"])):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, str(Path(__file__).parent), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", _THREAD_RUN, *pin], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         got = json.loads(proc.stdout)

@@ -254,6 +254,14 @@ class TestSelectKeys:
                 want = max(1, ceil_scaled(0.2, len(ev)))
                 assert int(part.key_frame[ev.start : ev.stop].sum()) == want
 
+    def test_tiny_beta_still_keys_a_frame_in_every_event(self):
+        # ceil(beta * len) rounds to 0 for every event here, at a beta RunConfig accepts
+        beta = RunConfig(beta=1e-10).beta
+        emb, text = gen_synthetic(12, 2, 2, 8, seed=3, num_segments=4)
+        part = select_keys(score_relevance(text, segment_events(emb, 4)), alpha=0.5, beta=beta)
+        assert [ceil_scaled(beta, len(ev)) for ev in part.events] == [0] * 4
+        assert [int(part.key_frame[ev.start : ev.stop].sum()) for ev in part.events] == [1] * 4
+
 
 class TestScaledStride:
     def test_reference_regime(self):
