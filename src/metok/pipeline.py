@@ -27,14 +27,7 @@ from .accounting import (
 )
 from .data_io import STAGES, FrameEmbeddings, RunConfig, TextEmbedding, config_with
 from .schedule import PruneSchedule, kv_drop_layer
-from .toy_llm import (
-    DecodeOutput,
-    apply_kv_policy,
-    build_prefill_input,
-    decode,
-    init_model,
-    prefill,
-)
+from .toy_llm import DecodeOutput, apply_kv_policy, decode, init_model, prefill
 from .vision import TokenStream, VisionPlan, plan_vision_stage, run_vision_stage
 
 __all__ = ["SimulationResult", "compress_stats", "run_simulation", "toy_run"]
@@ -91,7 +84,7 @@ def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model,
     stream, _ = run_vision_stage(frames, text, cfg)
     sched = PruneSchedule.from_config(cfg, *stream.group_counts())
     t0 = time.perf_counter()
-    res = prefill(model, build_prefill_input(model, stream, text), sched)
+    res = prefill(model, stream, sched, text)
     prefill_ms = (time.perf_counter() - t0) * 1000.0
     cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
     out = decode(model, cache, steps, res.final_logits) if steps >= 1 else None

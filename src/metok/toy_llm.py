@@ -49,7 +49,7 @@ from .schedule import PruneSchedule, retention_ratio, select_at_boundary, token_
 from .vision import TokenStream
 
 __all__ = [
-    "DecodeOutput", "KvCache", "PrefillInput", "PrefillResult", "ToyModel", "apply_kv_policy",
+    "DecodeOutput", "KvCache", "PrefillResult", "ToyModel", "apply_kv_policy",
     "attention_ratio_trace", "build_prefill_input", "decode", "init_model", "prefill",
 ]
 
@@ -178,30 +178,14 @@ def _mlp(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> None:
     _by_rows(len(x), rows, d + w_in.shape[1])
 
 
-@dataclass
-class PrefillInput:
-    """Concatenated model input: visual block first, then the last text_len rows are text."""
-
-    x: np.ndarray                # (n, d_model); row i carries position i's encoding
-    is_key: np.ndarray           # (n - text_len,) bool; group tag of each visual row
-    text_len: int
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        if not 1 <= self.text_len <= n:
-            raise ValueError(f"text_len must be in [1, {n}], got {self.text_len}")
-        if self.is_key.shape != (n - self.text_len,):
-            raise ValueError("need one group tag per visual row")
-
-
-def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbedding) -> PrefillInput:
-    """Project visual tokens to model width, embed prompt ids, add positions."""
+def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbedding) -> np.ndarray:
+    """(n, d_model) model input: projected visual tokens, then embedded prompt ids, plus
+    positions; row i carries position i's encoding, and the last text.num_tokens are text."""
     proj = visual_projection(model.seed, stream.dim, model.d_model)
     x_vis = stream.tokens @ proj
     x_text = model.embed[text.token_ids % model.vocab]
     x = np.concatenate([x_vis, x_text], axis=0)
-    x = x + sinusoidal_positions(np.arange(x.shape[0]), model.d_model)
-    return PrefillInput(x=x, is_key=stream.key_event, text_len=text.num_tokens)
+    return x + sinusoidal_positions(np.arange(x.shape[0]), model.d_model)
 
 
 @dataclass
@@ -387,22 +371,25 @@ def _prune_boundary(
     return keep
 
 
-def prefill(model: ToyModel, inp: PrefillInput, sched: PruneSchedule) -> PrefillResult:
-    """Forward the prompt, pruning visual tokens at each boundary layer's input; inp is only read.
+def prefill(model: ToyModel, stream: TokenStream, sched: PruneSchedule,
+            text: TextEmbedding) -> PrefillResult:
+    """Forward the stream's visual tokens then the prompt, pruning visual tokens at each
+    boundary layer's input; stream and text are only read.
 
     Caches each layer's keys/values for its surviving positions, so the cache's
     entry counts are the sequence lengths entering the layers. The cache takes
     K/V from each layer's input, so the final layer projects Q, and runs
     attention, Wo and the MLP, only for the last prompt row, the one
     final_logits reads (for its text rows when it is a boundary layer, whose
-    scoring reads them). Attention writes its output over Q, Wo adds the
-    residual there, and the MLP updates that stream in place, so a layer holds
-    its input rows and Q beside the cache, plus per-worker scratch.
+    scoring reads them). Prefill builds its own input rows and frees them after
+    layer 0. Attention writes its output over Q, Wo adds the residual there, and
+    the MLP updates that stream in place, so a layer holds its input rows and Q
+    beside the cache, plus per-worker scratch.
     """
     if sched.total_layers != model.layers:
         raise ValueError("schedule and model disagree on layer count")
-    x, is_key, text_len = inp.x, inp.is_key, inp.text_len
-    del inp  # a caller holding no other reference frees the input rows after layer 0
+    x = build_prefill_input(model, stream, text)
+    is_key, text_len = stream.key_event, text.num_tokens
     boundaries = set(sched.boundary_layers())
     cache = KvCache(prompt_len=x.shape[0], text_len=text_len)
     q_scale = 1.0 / math.sqrt(model.head_dim)

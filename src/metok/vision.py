@@ -157,6 +157,10 @@ class TokenStream:
     tokens: np.ndarray                      # (n, d)
     key_event: np.ndarray                   # (n,) bool
 
+    def __post_init__(self):
+        if self.key_event.shape != (len(self),):
+            raise ValueError("need one group tag per token")
+
     def __len__(self) -> int:
         return self.tokens.shape[0]
 

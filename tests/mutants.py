@@ -88,13 +88,15 @@ MUTANTS = (
         "row_piece_workers_share_slot_0", "metok/toy_llm.py",
         "work(r, scratch[slot, : r.stop - r.start])",
         "work(r, scratch[0, : r.stop - r.start])",
-        ("tests/test_toy_llm.py::TestBlockedAttention::test_prefill_bit_identical_at_any_cpu_count",),
+        ("tests/test_toy_llm.py::test_row_pieces_on_different_workers_get_their_own_scratch",
+         "tests/test_toy_llm.py::TestBlockedAttention::test_prefill_bit_identical_at_any_cpu_count"),
     ),
     Mutant(
         "layer_0_updates_its_input_in_place", "metok/toy_llm.py",
         "out=a[r]), w.shape[1])\n    return a\n",
         "out=x[r]), w.shape[1])\n    return x\n",
-        ("tests/test_toy_llm.py::TestPrefill::test_prefill_never_writes_its_input",),
+        # Q's buffer outlives the layer, so an extra (n, d) array is held
+        ("tests/test_toy_llm.py::TestBlockedAttention::test_working_set_is_the_cache_plus_scratch[1]",),
     ),
     Mutant(
         "final_layer_projects_q_from_row_n_minus_2", "metok/toy_llm.py",
@@ -151,6 +153,50 @@ MUTANTS = (
         "if not all(np.isfinite(self.tokens[i]).all() for i in bad):",
         "if not all(~np.isnan(self.tokens[i]).all() for i in bad):",
         ("tests/test_data_io.py::TestMebfErrors::test_non_finite_payload[inf]",),
+    ),
+    Mutant(
+        "decode_context_off_by_one", "metok/accounting.py",
+        "total += proj + 4 * (cached + step + 1) * d",
+        "total += proj + 4 * (cached + step) * d",
+        ("tests/test_accounting.py::TestPipelineFlops::test_decode_hand_sum",),
+    ),
+    Mutant(
+        "kv_policy_keeps_the_text_head", "metok/toy_llm.py",
+        "(a[len(a) - cache.text_len :].copy() for a in (k, v))",
+        "(a[: cache.text_len].copy() for a in (k, v))",
+        ("tests/test_schedule.py::TestKvKeepMask::test_text_never_removed",
+         "tests/test_toy_llm.py::TestKvPolicyAndDecode::test_drop_matches_neg_inf_masking"),
+    ),
+    Mutant(
+        "scaled_stride_rounds_down", "metok/vision.py",
+        "int(math.floor(stride / alpha + 0.5))",
+        "int(math.floor(stride / alpha))",
+        ("tests/test_vision.py::TestScaledStride::test_rounding_with_floor",),
+    ),
+    Mutant(
+        "event_score_max_ignored", "metok/vision.py",
+        'agg = np.mean if event_score == "mean" else np.max',
+        "agg = np.mean",
+        ("tests/test_vision.py::TestScoreRelevance::test_event_aggregation_modes",),
+    ),
+    Mutant(
+        "ceil_scaled_without_epsilon", "metok/kernels.py",
+        "math.ceil(ratio * n - 1e-9)",
+        "math.ceil(ratio * n)",
+        ("tests/test_schedule.py::TestRetentionRatio::test_keep_counts_reference_case",),
+    ),
+    Mutant(
+        "top_k_unstable_sort", "metok/kernels.py",
+        'np.argsort(-scores, kind="stable")',
+        'np.argsort(-scores, kind="quicksort")',
+        ("tests/test_kernels.py::TestTopKStable::test_ties_past_the_small_array_sorts",
+         "tests/test_vision.py::TestSegmentEvents::test_matches_brute_force_oracle"),
+    ),
+    Mutant(
+        "importance_takes_the_max", "metok/schedule.py",
+        "return cols.mean(axis=(1, 2))",
+        "return cols.max(axis=(1, 2))",
+        ("tests/test_schedule.py::TestTokenImportance::test_mean_over_queries",),
     ),
 )
 

@@ -19,7 +19,6 @@ from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary
 from metok.toy_llm import (
     apply_kv_policy,
-    build_prefill_input,
     decode,
     init_model,
     prefill,
@@ -142,12 +141,11 @@ def test_criterion_4_softmax_exclusion_identity():
         l1 = rng.next_raw() % (layers + 1)
         model = init_model(cfg)
         stream = make_stream(n_key, n_nonkey, 16, seed=cfg.seed + 1)
-        inp = build_prefill_input(model, stream, make_text(m, 16, seed=cfg.seed + 2))
         sched = PruneSchedule(
             l1=max(1, l1), l2=max(1, l1) + 3, l3=max(1, l1) + 6,
             r=0.5, alpha=0.5, total_layers=layers, n_key=n_key, n_nonkey=n_nonkey,
         )
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, make_text(m, 16, seed=cfg.seed + 2))
         drop = sched.l1
         out_drop = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
         out_mask = reference_decode(model, res.cache, 4, res.final_logits, mask_from=drop)

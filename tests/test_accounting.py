@@ -15,7 +15,7 @@ from metok.data_io import RunConfig, config_with, gen_synthetic, read_embeddings
 from metok.kernels import Rng64
 from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, kv_drop_layer
-from metok.toy_llm import apply_kv_policy, build_prefill_input, init_model, prefill
+from metok.toy_llm import apply_kv_policy, init_model, prefill
 from tests.test_toy_llm import make_stream, make_text
 from tests.test_vision import STAGE_SUBSETS, UNIT_RATIOS
 
@@ -137,9 +137,8 @@ class TestAnalyticMatchesMeasured:
             m = 1 + rng.next_raw() % 6
             model = init_model(cfg)
             stream = make_stream(n_key, n_nonkey, 8, seed=cfg.seed)
-            inp = build_prefill_input(model, stream, make_text(m, 8, seed=cfg.seed + 1))
             sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
-            res = prefill(model, inp, sched)
+            res = prefill(model, stream, sched, make_text(m, 8, seed=cfg.seed + 1))
             expected = analytic_trace(cfg, n_key, n_nonkey, m, 0)
             assert res.layer_lengths == expected.layer_lengths
             masked = apply_kv_policy(res.cache, kv_drop_layer(cfg))
@@ -149,9 +148,8 @@ class TestAnalyticMatchesMeasured:
         cfg = RunConfig(layers=5, heads=2, d_model=16, layer_boundaries=(1, 3, 4), seed=3)
         model = init_model(cfg)
         stream = make_stream(20, 12, 8, seed=4)
-        inp = build_prefill_input(model, stream, make_text(4, 8, seed=5))
         sched = PruneSchedule.from_config(cfg, 20, 12)
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, make_text(4, 8, seed=5))
         masked = apply_kv_policy(res.cache, kv_drop_layer(cfg))
         stored = sum(masked.entry_counts())
         t = analytic_trace(cfg, 20, 12, 4, 0)

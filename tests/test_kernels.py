@@ -153,6 +153,13 @@ class TestTopKStable:
         with pytest.raises(ValueError):
             top_k_stable(np.array([1.0]), 2)
 
+    @pytest.mark.parametrize("n", [17, 64, 300])
+    def test_ties_past_the_small_array_sorts(self, n):
+        # numpy's quicksort is an insertion sort, which keeps ties in order, up to 16 entries
+        scores = np.round(Rng64(n).next_unit_array(n) * 2) / 2
+        want = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[: n // 2])
+        assert top_k_stable(scores, n // 2).tolist() == want
+
     def test_nesting_property(self):
         rng = Rng64(7)
         for _ in range(200):

@@ -24,7 +24,6 @@ from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, retention_ratio, select_at_boundary, token_importance
 from metok.toy_llm import (
     KvCache,
-    PrefillInput,
     _causal_attention,
     _causal_exp,
     _needs_shift,
@@ -77,10 +76,10 @@ def qkv_weights(model, layer):
     return np.split(model.w_qkv[layer], 3, axis=1)
 
 
-def dense_prefill(model, inp, sched):
+def dense_prefill(model, stream, sched, text):
     """Oracle prefill: dense attention on every layer; each boundary scores from
     the full (heads, n, n) probabilities, then projects its survivors again."""
-    x, is_key, m = inp.x, inp.is_key, inp.text_len
+    x, is_key, m = build_prefill_input(model, stream, text), stream.key_event, text.num_tokens
     ids = np.arange(x.shape[0])
     is_text = ids >= x.shape[0] - m
     boundaries = set(sched.boundary_layers())
@@ -205,8 +204,7 @@ class TestPrefill:
         cfg = RunConfig(layers=4, heads=2, d_model=16, seed=3)
         model = init_model(cfg)
         stream = make_stream(10, 5, 8)
-        inp = build_prefill_input(model, stream, make_text(4, 8))
-        res = prefill(model, inp, disabled_schedule(4))
+        res = prefill(model, stream, disabled_schedule(4), make_text(4, 8))
         assert res.layer_lengths == [19, 19, 19, 19]
         assert res.cache.entry_counts() == [19, 19, 19, 19]
 
@@ -216,14 +214,12 @@ class TestPrefill:
         model = init_model(cfg)
         stream = make_stream(8, 4, 8)
         text = make_text(3, 8)
-        inp_a = build_prefill_input(model, stream, text)
-        inp_b = build_prefill_input(model, stream, text)
         # full retention needs r=1, alpha=1, and both drop branches out of reach
         noop = PruneSchedule(
             l1=2, l2=7, l3=8, r=1.0, alpha=1.0, total_layers=6, n_key=8, n_nonkey=4
         )
-        res_a = prefill(model, inp_a, noop)
-        res_b = prefill(model, inp_b, disabled_schedule(6))
+        res_a = prefill(model, stream, noop, text)
+        res_b = prefill(model, stream, disabled_schedule(6), text)
         assert res_a.layer_lengths == res_b.layer_lengths
         assert np.array_equal(res_a.final_logits, res_b.final_logits)
         assert_same_cache(res_a.cache, res_b.cache)
@@ -232,12 +228,11 @@ class TestPrefill:
         cfg = RunConfig(layers=20, heads=4, d_model=32, seed=7)
         model = init_model(cfg)
         stream = make_stream(100, 40, 16)
-        inp = build_prefill_input(model, stream, make_text(6, 16))
         sched = PruneSchedule(
             l1=3, l2=10, l3=19, r=0.55, alpha=0.5, total_layers=20,
             n_key=100, n_nonkey=40,
         )
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, make_text(6, 16))
         want = [146] * 3 + [72] * 7 + [37] * 9 + [6]
         assert res.layer_lengths == want
         assert res.cache.entry_counts() == want
@@ -248,12 +243,11 @@ class TestPrefill:
         for layer in range(4):
             model.w_qkv[layer][:, :16] = 0.0  # zero Q: uniform attention -> equal importance
         stream = make_stream(6, 4, 8)
-        inp = build_prefill_input(model, stream, make_text(2, 8))
         sched = PruneSchedule(
             l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4, n_key=6, n_nonkey=4
         )
         masks = record_keep_masks(monkeypatch)
-        prefill(model, inp, sched)
+        prefill(model, stream, sched, make_text(2, 8))
         # layer 1 keeps ceil(.5*6)=3 key and ceil(.25*4)=1 non-key, earliest first
         assert np.flatnonzero(masks[0]).tolist() == [0, 1, 2, 6, 10, 11]
 
@@ -261,21 +255,14 @@ class TestPrefill:
         cfg = RunConfig(layers=8, heads=2, d_model=16, seed=2)
         model = init_model(cfg)
         stream = make_stream(20, 10, 8)
-        inp = build_prefill_input(model, stream, make_text(5, 8))
         sched = PruneSchedule(
             l1=1, l2=3, l3=5, r=0.4, alpha=0.5, total_layers=8, n_key=20, n_nonkey=10
         )
         masks = record_keep_masks(monkeypatch)
-        prefill(model, inp, sched)
+        prefill(model, stream, sched, make_text(5, 8))
         assert len(masks) == 3
         for keep in masks:
             assert keep[-5:].all()
-
-    @pytest.mark.parametrize("text_len, n_tags", [(0, 6), (7, 0), (2, 6), (2, 3)])
-    def test_input_needs_a_text_tail_and_one_tag_per_visual_row(self, text_len, n_tags):
-        with pytest.raises(ValueError):
-            PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(n_tags, dtype=bool), text_len=text_len)
-        PrefillInput(x=np.zeros((6, 4)), is_key=np.ones(4, dtype=bool), text_len=2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("pruned", [True, False])
@@ -283,14 +270,14 @@ class TestPrefill:
         # 606 rows: two row pieces; the pruned schedule's last boundary is the final layer
         monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
         model = init_model(RunConfig(layers=4, heads=2, d_model=16, seed=21))
-        inp = build_prefill_input(model, make_stream(400, 200, 8), make_text(6, 8))
+        stream, text = make_stream(400, 200, 8), make_text(6, 8)
         sched = (PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4,
                                n_key=400, n_nonkey=200) if pruned else disabled_schedule(4))
-        before = copy.deepcopy(inp)
-        res = prefill(model, inp, sched)
+        inputs = (stream.tokens, stream.key_event, text.vector, text.token_ids)
+        before = [a.tobytes() for a in inputs]
+        res = prefill(model, stream, sched, text)
         assert (res.layer_lengths[-1] < 606) == pruned
-        for name in ("x", "is_key"):
-            assert getattr(inp, name).tobytes() == getattr(before, name).tobytes()
+        assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("l3", [3, 4])
     def test_final_layer_queries_only_the_rows_it_reads(self, l3, monkeypatch):
@@ -306,10 +293,9 @@ class TestPrefill:
         monkeypatch.setattr(toy_llm, "_causal_attention", recording)
         m = 6
         model = init_model(RunConfig(layers=5, heads=2, d_model=16, seed=22))
-        inp = build_prefill_input(model, make_stream(300, 100, 8), make_text(m, 8))
         sched = PruneSchedule(l1=1, l2=2, l3=l3, r=0.5, alpha=0.5, total_layers=5,
                               n_key=300, n_nonkey=100)
-        res = prefill(model, inp, sched)
+        res = prefill(model, make_stream(300, 100, 8), sched, make_text(m, 8))
         assert [n for _, n in calls] == res.layer_lengths
         assert [rows for rows, _ in calls] == res.layer_lengths[:-1] + [m if l3 == 4 else 1]
 
@@ -328,10 +314,10 @@ def scaled_qk(model, factor):
     return dataclasses.replace(model, w_qkv=w_qkv)
 
 
-def assert_matches_dense_prefill(model, inp, sched):
+def assert_matches_dense_prefill(model, stream, sched, text):
     """Keep sets, lengths and decoded tokens equal the dense oracle's; logits to 1e-9."""
-    res = prefill(model, inp, sched)
-    cache, lengths, final_logits = dense_prefill(model, inp, sched)
+    res = prefill(model, stream, sched, text)
+    cache, lengths, final_logits = dense_prefill(model, stream, sched, text)
     assert res.layer_lengths == lengths
     assert_same_cache(res.cache, cache, kv_tol=1e-12)
     assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-9
@@ -408,12 +394,12 @@ class TestBlockedAttention:
             l1 = max(1, rng.next_raw() % (layers + 1))
             model = init_model(cfg)
             stream = make_stream(n_key, n_nonkey, 16, seed=cfg.seed + 1)
-            inp = build_prefill_input(model, stream, make_text(m, 16, seed=cfg.seed + 2))
+            text = make_text(m, 16, seed=cfg.seed + 2)
             sched = PruneSchedule(
                 l1=l1, l2=l1 + 3, l3=l1 + 6, r=0.5, alpha=0.5, total_layers=layers,
                 n_key=n_key, n_nonkey=n_nonkey,
             )
-            assert_matches_dense_prefill(model, inp, sched)
+            assert_matches_dense_prefill(model, stream, sched, text)
 
     def test_criterion_8_fixture_matches_dense_prefill(self):
         # the baseline run's 264 tokens span two query blocks
@@ -423,22 +409,20 @@ class TestBlockedAttention:
         base_cfg = config_with(cfg, disable_stages=("vision", "prefill", "decode"))
         for run_cfg in (cfg, base_cfg):
             stream, _ = run_vision_stage(frames, text, run_cfg)
-            inp = build_prefill_input(model, stream, text)
             sched = PruneSchedule.from_config(run_cfg, *stream.group_counts())
-            assert_matches_dense_prefill(model, inp, sched)
+            assert_matches_dense_prefill(model, stream, sched, text)
 
     def _pruned_run(self):
         cfg = RunConfig(layers=6, heads=4, d_model=32, seed=17)
         model = init_model(cfg)
-        inp = build_prefill_input(model, make_stream(220, 90, 8), make_text(9, 8))
         sched = PruneSchedule(
             l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=6, n_key=220, n_nonkey=90
         )
-        return model, inp, sched
+        return model, make_stream(220, 90, 8), sched, make_text(9, 8)
 
     def test_two_prefills_bit_identical(self):
-        model, inp, sched = self._pruned_run()
-        a, b = prefill(model, inp, sched), prefill(model, inp, sched)
+        model, stream, sched, text = self._pruned_run()
+        a, b = prefill(model, stream, sched, text), prefill(model, stream, sched, text)
         assert a.layer_lengths == b.layer_lengths
         assert np.array_equal(a.final_logits, b.final_logits)
         assert_same_cache(a.cache, b.cache)
@@ -446,20 +430,20 @@ class TestBlockedAttention:
     @pytest.mark.parametrize("l3", [5, 6])
     def test_one_row_final_layer_matches_dense_prefill(self, l3):
         # the final layer runs only the last row; at l3=5 it is a boundary layer too
-        model, inp, sched = self._pruned_run()
+        model, stream, sched, text = self._pruned_run()
         sched = dataclasses.replace(sched, l3=l3)
-        res = prefill(model, inp, sched)
-        cache, lengths, final_logits = dense_prefill(model, inp, sched)
+        res = prefill(model, stream, sched, text)
+        cache, lengths, final_logits = dense_prefill(model, stream, sched, text)
         assert res.layer_lengths == lengths
         assert_same_cache(res.cache, cache, kv_tol=1e-12)
         assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-12
 
     @pytest.mark.parametrize("block", [64, 1024])
     def test_block_size_changes_only_rounding(self, block, monkeypatch):
-        model, inp, sched = self._pruned_run()
-        ref = prefill(model, inp, sched)
+        model, stream, sched, text = self._pruned_run()
+        ref = prefill(model, stream, sched, text)
         monkeypatch.setattr(toy_llm, "_QBLOCK", block)
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, text)
         assert res.layer_lengths == ref.layer_lengths
         assert_same_cache(res.cache, ref.cache, kv_tol=1e-12)
         assert float(np.max(np.abs(res.final_logits - ref.final_logits))) <= 1e-12
@@ -474,12 +458,12 @@ class TestBlockedAttention:
         heads, n_vis, m = 4, 1192, 8
         n = n_vis + m
         model = init_model(RunConfig(layers=2, heads=heads, d_model=16, seed=8))
-        inp = build_prefill_input(model, make_stream(n_vis, 0, 8), make_text(m, 8))
+        stream, text = make_stream(n_vis, 0, 8), make_text(m, 8)
         workspace_bytes = 2 * self.B * n * 8        # one (B, n) block per worker: about 2.5 MB
         other_bytes = 2**20  # the (B, B) mask tile, the (n, d) rows and cache, the row scratch
         tracemalloc.start()
         try:
-            prefill(model, inp, disabled_schedule(2))
+            prefill(model, stream, disabled_schedule(2), text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -487,21 +471,24 @@ class TestBlockedAttention:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_working_set_is_the_cache_plus_scratch(self, cpus, monkeypatch):
-        # 1,100 rows, 4 row pieces; the bound holds a layer's stream and Q and one more
-        # (n, d) array, where a whole (n, 4d) MLP hidden array alone would not fit
+        # 1,100 rows, 4 row pieces; peak comes in the final layer, beside the whole cache,
+        # so the bound holds its input rows, which prefill builds, and no second (n, d)
+        # array, where an earlier layer's Q kept alive or an (n, 4d) MLP hidden array would not fit
         monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
         n, m, d = 1100, 8, 256
         model = init_model(RunConfig(layers=3, heads=4, d_model=d, seed=8))
-        inp = build_prefill_input(model, make_stream(n - m, 0, 8), make_text(m, 8))
+        stream, text = make_stream(n - m, 0, 8), make_text(m, 8)
         workers = min(cpus, model.heads)
         tracemalloc.start()
         try:
-            res = prefill(model, inp, disabled_schedule(3))
+            res = prefill(model, stream, disabled_schedule(3), text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cache_bytes = sum(a.nbytes for a in res.cache.k + res.cache.v)
-        assert peak - cache_bytes < 3 * n * d * 8 + workers * self.B * n * 8 + 2**20
+        held = peak - cache_bytes
+        bound = n * d * 8 + workers * self.B * n * 8 + 2**20
+        assert held < bound, f"{held / 2**20:.2f} MiB held against {bound / 2**20:.2f} MiB"
 
     # block edges, then row-piece edges
     @pytest.mark.parametrize("n", [B - 1, B, 2 * B - 1, 2 * B, 2 * R - 1, 2 * R, 4 * B + 17, 1100])
@@ -516,11 +503,10 @@ class TestBlockedAttention:
             model = scaled_qk(init_model(RunConfig(layers=3, heads=3, d_model=24, seed=n)),
                               qk_scale)
             assert [_needs_shift(model, layer) for layer in range(3)] == [shift] * 3
-            inp = build_prefill_input(model, make_stream(n_key, n - m - n_key, 8, seed=n),
-                                      make_text(m, 8))
+            stream, text = make_stream(n_key, n - m - n_key, 8, seed=n), make_text(m, 8)
             monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 1)
             monkeypatch.setattr(toy_llm, "_head_pool", None)  # one CPU submits nothing
-            want = prefill(model, inp, sched)
+            want = prefill(model, stream, sched, text)
             monkeypatch.undo()
             assert want.layer_lengths[0] == n and 1 < want.layer_lengths[1] < n
             monkeypatch.setattr(toy_llm, "_CHUNK_SCORES", 1)  # hand over even the smallest call
@@ -529,7 +515,7 @@ class TestBlockedAttention:
             try:
                 for cpus in (2, 3, 8):
                     monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: cpus)
-                    got = prefill(model, inp, sched)
+                    got = prefill(model, stream, sched, text)
                     assert got.layer_lengths == want.layer_lengths
                     assert_same_cache(got.cache, want.cache)
                     assert np.array_equal(got.final_logits, want.final_logits)
@@ -577,17 +563,17 @@ class TestSoftmaxShift:
     def test_scores_past_exps_range_take_the_shifted_path(self):
         # Q and K scaled by 30: real scores pass 709, where exp overflows to inf
         model = scaled_qk(init_model(RunConfig(layers=4, heads=2, d_model=32, seed=5)), 30.0)
-        inp = build_prefill_input(model, make_stream(40, 20, 8, seed=3), make_text(5, 8, seed=4))
+        stream, text = make_stream(40, 20, 8, seed=3), make_text(5, 8, seed=4)
         wq, wk, _ = qkv_weights(model, 0)
-        h = _rms_norm(inp.x)
+        h = _rms_norm(build_prefill_input(model, stream, text))
         q = _split_heads(h @ wq / math.sqrt(model.head_dim), 2)
         assert float(np.max(q @ _split_heads(h @ wk, 2).transpose(0, 2, 1))) > 709.0
         assert all(_needs_shift(model, layer) for layer in range(model.layers))
         sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4,
                               n_key=40, n_nonkey=20)
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, text)
         assert np.all(np.isfinite(res.final_logits))
-        assert_matches_dense_prefill(model, inp, sched)
+        assert_matches_dense_prefill(model, stream, sched, text)
         for cache in (res.cache, apply_kv_policy(res.cache, sched.l1)):
             out = decode(model, cache, 9, res.final_logits)
             want = reference_decode(model, cache, 9, res.final_logits)
@@ -631,17 +617,28 @@ def test_gemm_row_pieces_give_the_rows_of_the_whole_product(k_dim, n_out, column
                 "row pieces would change its bits")
 
 
+def test_row_pieces_on_different_workers_get_their_own_scratch(monkeypatch):
+    """A fan-out that hands piece i to worker i % workers, in order, shows the scratch
+    each piece got; racing workers show a shared slot only when their writes overlap."""
+    monkeypatch.setattr(toy_llm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(toy_llm, "_fan_out", lambda work, tasks, workers: [
+        work(i % workers, task) for i, task in enumerate(tasks)])
+    scratch = []
+    toy_llm._by_rows(4 * toy_llm._ROWS, lambda rows, s: scratch.append(s), 8)
+    assert len(scratch) == 4
+    assert not np.shares_memory(scratch[0], scratch[1])
+
+
 class TestKvPolicyAndDecode:
     def _prefilled(self, layers=6, seed=11, n_key=12, n_nonkey=6, m=4):
         cfg = RunConfig(layers=layers, heads=2, d_model=16, seed=seed)
         model = init_model(cfg)
         stream = make_stream(n_key, n_nonkey, 8, seed=seed + 1)
-        inp = build_prefill_input(model, stream, make_text(m, 8, seed=seed + 2))
         sched = PruneSchedule(
             l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=layers,
             n_key=n_key, n_nonkey=n_nonkey,
         )
-        return model, prefill(model, inp, sched), sched
+        return model, prefill(model, stream, sched, make_text(m, 8, seed=seed + 2)), sched
 
     def test_drop_matches_neg_inf_masking(self):
         model, res, sched = self._prefilled()
@@ -788,10 +785,9 @@ def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
     # (4, 4) and (1, 1) have head_dim 1
     layers = 4
     model = init_model(RunConfig(layers=layers, heads=heads, d_model=d_model, seed=heads + d_model))
-    inp = build_prefill_input(model, make_stream(10, 5, 8, seed=3), make_text(3, 8, seed=4))
     sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=layers,
                           n_key=10, n_nonkey=5)
-    res = prefill(model, inp, sched)
+    res = prefill(model, make_stream(10, 5, 8, seed=3), sched, make_text(3, 8, seed=4))
     drop = 0 if kind == "text_only" else 2
     cache = apply_kv_policy(res.cache, drop)
     out = decode(model, cache, steps, res.final_logits)
@@ -876,11 +872,10 @@ class TestAttentionRatios:
         cfg = RunConfig(layers=6, heads=2, d_model=16, seed=4)
         model = init_model(cfg)
         stream = make_stream(12, 6, 8)
-        inp = build_prefill_input(model, stream, make_text(4, 8))
         sched = PruneSchedule(
             l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=6, n_key=12, n_nonkey=6
         )
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, make_text(4, 8))
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 5, res.final_logits)
         ratios = attention_ratio_trace(out)
         assert np.allclose(ratios.sum(axis=-1), 1.0, atol=1e-12)
@@ -894,8 +889,7 @@ class TestAttentionRatios:
         for layer in range(2):
             model.w_qkv[layer][:, :16] = 0.0  # zero Q
         stream = make_stream(30, 0, 8)
-        inp = build_prefill_input(model, stream, make_text(10, 8))
-        res = prefill(model, inp, disabled_schedule(2))
+        res = prefill(model, stream, disabled_schedule(2), make_text(10, 8))
         out = decode(model, apply_kv_policy(res.cache, 2), 2, res.final_logits)
         ratios = attention_ratio_trace(out)
         assert ratios[0, 0] == pytest.approx(0.75, abs=1e-12)
@@ -904,8 +898,7 @@ class TestAttentionRatios:
     def test_requires_a_forward(self):
         model, = (init_model(RunConfig(layers=2, heads=2, d_model=16)),)
         stream = make_stream(4, 0, 8)
-        inp = build_prefill_input(model, stream, make_text(2, 8))
-        res = prefill(model, inp, disabled_schedule(2))
+        res = prefill(model, stream, disabled_schedule(2), make_text(2, 8))
         out = decode(model, apply_kv_policy(res.cache, 2), 1, res.final_logits)
         with pytest.raises(ValueError):
             attention_ratio_trace(out)
@@ -928,9 +921,8 @@ class TestPositionalEncoding:
         cfg = RunConfig(k=2, layers=6, heads=2, d_model=16, layer_boundaries=(2, 4, 5), seed=13)
         stream, _ = run_vision_stage(emb, text, cfg)
         model = init_model(cfg)
-        inp = build_prefill_input(model, stream, text)
         n_key, n_nonkey = stream.group_counts()
         sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
-        res = prefill(model, inp, sched)
+        res = prefill(model, stream, sched, text)
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 4, res.final_logits)
         assert out.tokens.shape == (4,)

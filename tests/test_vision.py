@@ -20,6 +20,7 @@ from metok.kernels import Rng64, ZeroNormError, avg_pool_2d, ceil_scaled
 from metok.pipeline import run_simulation
 from metok.vision import (
     EventPartition,
+    TokenStream,
     _stride_plan,
     adaptive_pool,
     plan_vision_stage,
@@ -279,6 +280,15 @@ def hand_partition_two_events():
     part.key_event = np.array([True, False])
     part.key_frame = np.array([True, True, False, False, True, True, False, False])
     return part
+
+
+@pytest.mark.parametrize("tags_shape", [(0,), (3,), (6,), (4, 1)],
+                         ids=["none", "fewer", "more", "column"])
+def test_token_stream_needs_one_group_tag_per_token(tags_shape):
+    tokens = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="one group tag per token"):
+        TokenStream(tokens=tokens, key_event=np.ones(tags_shape, dtype=bool))
+    assert len(TokenStream(tokens=tokens, key_event=np.ones(4, dtype=bool))) == 4
 
 
 class TestAdaptivePool:
