@@ -26,6 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .data_io import (
     EVENT_SCORES,
@@ -215,8 +217,9 @@ def _simulate(args, cfg, frames, text, out) -> list[Path]:
 def _diag_attention_ratio(args, cfg, frames, text, out) -> list[Path]:
     if args.steps < 2:
         raise UsageError("attention-ratio needs --steps >= 2 to record a decode forward")
-    _, _, decoded, _ = toy_run(frames, text, cfg, init_model(cfg), args.steps)
-    ratios = attention_ratio_trace(decoded)
+    masses = np.empty((args.steps - 1, cfg.layers, 2))
+    toy_run(frames, text, cfg, init_model(cfg), args.steps, masses)
+    ratios = attention_ratio_trace(masses)
     lines = ["layer,visual_ratio,text_ratio"]
     lines += [f"{layer},{vis:.12g},{txt:.12g}" for layer, (vis, txt) in enumerate(ratios)]
     csv_path = out / "attention_ratio.csv"

@@ -59,13 +59,21 @@ class Rng64:
         """
         if n < 0:
             raise ValueError(f"negative draw count {n}")
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        shifted = np.empty_like(z)  # the one buffer every xor-shift step reuses
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
         self.state = (self.state + n * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53 * 2.0 - 1.0
+        z >>= np.uint64(11)
+        unit = z.astype(np.float64)
+        unit *= 2.0**-52  # exact: the same bits as * 2**-53 * 2
+        unit -= 1.0
+        return unit
 
 
 def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:

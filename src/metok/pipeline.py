@@ -78,16 +78,21 @@ def compress_stats(plan: VisionPlan, raw_tokens: int) -> dict:
     }
 
 
-def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model,
-            steps: int) -> tuple[TokenStream, InferenceTrace, DecodeOutput | None, float]:
-    """One toy-model run: its pooled stream, trace, decode (steps >= 1) and prefill ms."""
+def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model, steps: int,
+            masses: np.ndarray | None = None
+            ) -> tuple[TokenStream, InferenceTrace, DecodeOutput | None, float]:
+    """One toy-model run: its pooled stream, trace, decode (steps >= 1) and prefill ms.
+
+    The prefill cache has steps - 1 spare rows a layer for decode's generated K/V.
+    Given masses, decode writes its prompt masses there (toy_llm.decode).
+    """
     stream, _ = run_vision_stage(frames, text, cfg)
     sched = PruneSchedule.from_config(cfg, *stream.group_counts())
     t0 = time.perf_counter()
-    res = prefill(model, stream, sched, text)
+    res = prefill(model, stream, sched, text, room=max(0, steps - 1))
     prefill_ms = (time.perf_counter() - t0) * 1000.0
     cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
-    out = decode(model, cache, steps, res.final_logits) if steps >= 1 else None
+    out = decode(model, cache, steps, res.final_logits, masses) if steps >= 1 else None
     trace = InferenceTrace(
         layer_lengths=res.layer_lengths,
         cached_positions=cache.entry_counts(),

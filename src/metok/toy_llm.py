@@ -23,8 +23,12 @@ holds its input rows, Q and the workers' scratch. Buffers are allocated by the
 calling thread and the bits do not depend on the CPU count. The final layer
 projects Q for, and runs, only the last prompt row, so the executed work is
 below the counted 4*n^2*d attention terms.
-A decode layer-step is one fused Q/K/V matmul plus ~25 small numpy calls; its
-floor is streaming the float64 weights (19 MB a forward at d_model 128, 12 layers).
+Prefill leaves `room` spare rows after each layer's cache entries. Decode writes
+its generated K/V there and never over an entry, so a decode layer-step scores
+the prompt's and its own keys as one array. Of a layer-step, the four weight
+gemvs take about half, one score and one P·V matmul about a quarter, and ~15
+small numpy calls the rest; the floor is streaming the float64 weights (19 MB a
+forward at d_model 128, 12 layers).
 The decode-stage policy drops cached visual entries from a given layer upward
 (the pipeline passes schedule.kv_drop_layer): dropping an entry is excluding it
 from the softmax, so decode never masks. Text is the last text_len entries of
@@ -141,11 +145,13 @@ def _rms_row(x: np.ndarray) -> np.ndarray:
     return x / math.sqrt(float(np.add.reduce(x * x)) / x.shape[0] + _NORM_EPS)
 
 
-def _norm_project(x: np.ndarray, w_qkv: np.ndarray, q_scale: float,
-                  first: int) -> list[np.ndarray]:
+def _norm_project(x: np.ndarray, w_qkv: np.ndarray, q_scale: float, first: int,
+                  room: int) -> list[np.ndarray]:
     """Q (times q_scale) of rows [first:] and K and V of every row of x, RMS-normed, through
-    w_qkv's column blocks into three arrays, in row pieces normed into their scratch."""
-    q, k, v = np.empty((len(x) - first, x.shape[1])), np.empty(x.shape), np.empty(x.shape)
+    w_qkv's column blocks into three arrays, in row pieces normed into their scratch; K and V
+    have room spare rows after x's."""
+    n, d = x.shape
+    q, k, v = np.empty((n - first, d)), np.empty((n + room, d)), np.empty((n + room, d))
     wq, wk, wv = np.split(w_qkv, 3, axis=1)
 
     def rows(r: slice, h: np.ndarray) -> None:
@@ -192,18 +198,29 @@ def build_prefill_input(model: ToyModel, stream: TokenStream, text: TextEmbeddin
 class KvCache:
     """Per-layer cached keys/values of the surviving prompt rows, in prompt order.
 
-    Text is the last text_len entries of every layer; decode attends to every
-    entry. decode() reads the cache and never writes it.
+    Each layer's K and V hold its entries, then `room` spare rows. Text is the
+    last text_len entries of every layer; decode attends to every entry and
+    writes each generated token's K and V into the spare rows, never into an
+    entry.
     """
 
     prompt_len: int
     text_len: int
-    k: list[np.ndarray] = field(default_factory=list)           # (n_l, d_model)
+    room: int = 0
+    k: list[np.ndarray] = field(default_factory=list)           # (n_l + room, d_model)
     v: list[np.ndarray] = field(default_factory=list)
 
     def entry_counts(self) -> list[int]:
-        """Stored entries per layer."""
-        return [k.shape[0] for k in self.k]
+        """Stored entries per layer, the spare rows not counted."""
+        return [len(k) - self.room for k in self.k]
+
+
+def _with_room(a: np.ndarray, rows: np.ndarray, room: int) -> np.ndarray:
+    """a's rows at the indices `rows`, then room spare rows, in one new array."""
+    out = np.empty((len(rows) + room, a.shape[1]))
+    # the indices are in range; take's default mode would copy through a temporary
+    np.take(a, rows, axis=0, out=out[: len(rows)], mode="clip")
+    return out
 
 
 @dataclass
@@ -372,16 +389,17 @@ def _prune_boundary(
 
 
 def prefill(model: ToyModel, stream: TokenStream, sched: PruneSchedule,
-            text: TextEmbedding) -> PrefillResult:
+            text: TextEmbedding, room: int = 0) -> PrefillResult:
     """Forward the stream's visual tokens then the prompt, pruning visual tokens at each
     boundary layer's input; stream and text are only read.
 
     Caches each layer's keys/values for its surviving positions, so the cache's
-    entry counts are the sequence lengths entering the layers. The cache takes
-    K/V from each layer's input, so the final layer projects Q, and runs
-    attention, Wo and the MLP, only for the last prompt row, the one
-    final_logits reads (for its text rows when it is a boundary layer, whose
-    scoring reads them). Prefill builds its own input rows and frees them after
+    entry counts are the sequence lengths entering the layers, with room spare
+    rows after each layer's entries, enough for decode to generate room + 1
+    tokens. The cache takes K/V from each layer's input, so the final layer
+    projects Q, and runs attention, Wo and the MLP, only for the last prompt
+    row, the one final_logits reads (for its text rows when it is a boundary
+    layer, whose scoring reads them). Prefill builds its own input rows and frees them after
     layer 0. Attention writes its output over Q, Wo adds the residual there, and
     the MLP updates that stream in place, so a layer holds its input rows and Q
     beside the cache, plus per-worker scratch.
@@ -391,24 +409,26 @@ def prefill(model: ToyModel, stream: TokenStream, sched: PruneSchedule,
     x = build_prefill_input(model, stream, text)
     is_key, text_len = stream.key_event, text.num_tokens
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=text_len)
+    cache = KvCache(prompt_len=x.shape[0], text_len=text_len, room=room)
     q_scale = 1.0 / math.sqrt(model.head_dim)
     last, heads = model.layers - 1, model.heads
     for layer in range(model.layers):
         # the final layer's queries: its last row, or the text rows a boundary scores from
         first = 0 if layer < last else len(x) - (text_len if layer in boundaries else 1)
-        q, k, v = _norm_project(x, model.w_qkv[layer], q_scale, first)
+        q, k, v = _norm_project(x, model.w_qkv[layer], q_scale, first, room)
         shift = _needs_shift(model, layer)
         if layer in boundaries:
             # RMS-norm and the projections act row by row, so a boundary layer
             # scores from its incoming rows and keeps the survivors' projections.
             keep = _prune_boundary(sched, layer, _split_heads(q[len(q) - text_len :], heads),
-                                   _split_heads(k, heads), is_key, text_len, shift)
+                                   _split_heads(k[: len(x)], heads), is_key, text_len, shift)
             x, is_key = x[keep], is_key[keep[: len(is_key)]]
-            q, k, v = q[keep[first:]], k[keep], v[keep]
+            q = q[keep[first:]]
+            k, v = (_with_room(a, np.flatnonzero(keep), room) for a in (k, v))
         cache.k.append(k)
         cache.v.append(v)
-        attn = _causal_attention(*(_split_heads(a, heads) for a in (q, k, v)), shift=shift)
+        attn = _causal_attention(*(_split_heads(a[: len(x)], heads) for a in (q, k, v)),
+                                 shift=shift)
         x = _add_product(x[len(x) - len(q) :], attn, model.wo[layer])  # the stream, in q's rows
         _mlp(x, model.w_in[layer], model.w_out[layer])
     final_logits = _rms_norm(x[-1:])[0] @ model.unembed
@@ -419,15 +439,18 @@ def prefill(model: ToyModel, stream: TokenStream, sched: PruneSchedule,
 def apply_kv_policy(cache: KvCache, drop_layer: int) -> KvCache:
     """Drop cached visual entries from drop_layer upward; text always stays.
 
-    Those layers keep a copy of only their text tail. Every array the policy
-    does not filter is the input cache's own, shared rather than copied: both
-    caches are read-only. Decoding the result equals decoding the input with
-    those entries' attention scores set to -inf, up to float summation order.
+    Those layers keep a copy of only their text tail, with the input's room
+    after it. Every array the policy does not filter is the input cache's own,
+    shared rather than copied, so decoding either cache writes the spare rows
+    of the kept layers; no entry of either is ever written. Decoding the result
+    equals decoding the input with those entries' attention scores set to -inf,
+    up to float summation order.
     """
-    out = KvCache(cache.prompt_len, cache.text_len)
-    for layer, (k, v) in enumerate(zip(cache.k, cache.v)):
+    out = KvCache(cache.prompt_len, cache.text_len, cache.room)
+    for layer, (c, k, v) in enumerate(zip(cache.entry_counts(), cache.k, cache.v)):
         if layer >= drop_layer:
-            k, v = (a[len(a) - cache.text_len :].copy() for a in (k, v))
+            tail = np.arange(c - cache.text_len, c)
+            k, v = (_with_room(a, tail, cache.room) for a in (k, v))
         out.k.append(k)
         out.v.append(v)
     return out
@@ -437,22 +460,25 @@ def apply_kv_policy(cache: KvCache, drop_layer: int) -> KvCache:
 class DecodeOutput:
     tokens: np.ndarray            # (steps,) generated ids, greedy argmax
     logits: np.ndarray            # (steps, vocab); row s produced token s
-    attn_split: np.ndarray        # (forwards, layers, 2) head-mean prompt mass (visual, text)
 
     @property
     def num_forwards(self) -> int:
-        return self.attn_split.shape[0]
+        return len(self.logits) - 1
 
 
-def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray) -> DecodeOutput:
-    """Greedy decode against every entry of the cache, which is not modified.
+def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray,
+           masses: np.ndarray | None = None) -> DecodeOutput:
+    """Greedy decode against every entry of the cache.
 
     Token 0 is the argmax of first_logits (computed by prefill); each further
-    token comes from one forward pass, whose layer-steps project Q, K and V with
-    one matmul and keep K and V in split-head buffers beside the caller's cache,
-    so decoding twice from one cache gives the same result. Softmax subtracts
-    the row max only on layers that _needs_shift. Per forward and layer, the
-    head-averaged attention mass on visual vs text PROMPT positions is recorded.
+    token comes from one forward pass. Forward s writes each layer's K and V
+    into row c + s, c the layer's entry count: decode writes only the cache's
+    spare rows, never an entry, so it needs room >= steps - 1, and decoding
+    twice from one cache gives the same result; two decodes that share a cache
+    layer must not run at once. Softmax subtracts the row max
+    only on layers that _needs_shift. Given masses, a (steps-1, layers, 2)
+    array, decode writes each forward's and layer's head-averaged attention
+    mass on the visual and on the text prompt entries there.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -461,58 +487,59 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     if np.shape(first_logits) != (model.vocab,):
         raise ValueError(f"first_logits must have shape ({model.vocab},)")
     heads, head_dim, d, gen = model.heads, model.head_dim, model.d_model, steps - 1
+    if gen > cache.room:
+        raise ValueError(f"{steps} steps need {gen} spare cache rows, the cache has {cache.room}")
+    if masses is not None and masses.shape != (gen, model.layers, 2):
+        raise ValueError(f"masses must have shape ({gen}, {model.layers}, 2)")
     logits = np.empty((steps, model.vocab))  # row s produces token s, its argmax
     logits[0] = first_logits
-    attn_split = np.empty((gen, model.layers, 2))
     positions = sinusoidal_positions(np.arange(gen) + cache.prompt_len, d)
-    scale = math.sqrt(head_dim)
+    q_scale = 1.0 / math.sqrt(head_dim)
     counts = cache.entry_counts()
-    # per layer: cached entries, their visual/text split, split-head K^T and V, generated
-    # K/V, and whether softmax shifts
-    layers = [(c, np.array([0, c - cache.text_len]), _split_heads(k, heads).transpose(0, 2, 1),
-               _split_heads(v, heads), np.empty((2, heads, gen, head_dim)),
+    # per layer: entries, K and V, their split-head K^T and V views, and whether softmax shifts
+    layers = [(c, k, v, _split_heads(k, heads).transpose(0, 2, 1), _split_heads(v, heads),
                _needs_shift(model, layer))
               for layer, (c, k, v) in enumerate(zip(counts, cache.k, cache.v))]
     scores = np.empty(heads * (max(counts) + gen))
     for s in range(gen):
         x = model.embed[np.argmax(logits[s])] + positions[s]
-        for layer, (c, split, k_c, v_c, gen_kv, shift) in enumerate(layers):
+        for layer, (c, k, v, k_t, v_h, shift) in enumerate(layers):
             qkv = _rms_row(x) @ model.w_qkv[layer]
-            gen_kv[:, :, s] = qkv[d:].reshape(2, heads, head_dim)
-            q = qkv[:d].reshape(heads, 1, head_dim)
-            row = scores[: heads * (c + s + 1)].reshape(heads, 1, c + s + 1)
-            np.matmul(q, k_c, out=row[:, :, :c])
-            np.matmul(q, gen_kv[0, :, : s + 1].transpose(0, 2, 1), out=row[:, :, c:])
-            p = row[:, 0]
-            p /= scale
+            k[c + s], v[c + s] = qkv[d : 2 * d], qkv[2 * d :]
+            n = c + s + 1
+            q = np.multiply(qkv[:d], q_scale, out=qkv[:d]).reshape(heads, 1, head_dim)
+            p = np.matmul(q, k_t[:, :, :n], out=scores[: heads * n].reshape(heads, 1, n))
             if shift:
                 p -= np.maximum.reduce(p, axis=-1, keepdims=True)
             np.exp(p, out=p)
-            p /= np.add.reduce(p, axis=-1, keepdims=True)
-            np.add.reduceat(np.add.reduce(p[:, :c], axis=0), split, out=attn_split[s, layer])
-            out = p[:, None, :c] @ v_c
-            out += p[:, None, c:] @ gen_kv[1, :, : s + 1]
+            total = np.add.reduce(p, axis=-1, keepdims=True)
+            if masses is not None:  # each head's visual and text shares of its row sum
+                share = np.add.reduceat(p[:, 0, :c], [0, c - cache.text_len], axis=-1) / total[:, 0]
+                np.add.reduce(share, axis=0, out=masses[s, layer])
+            out = p @ v_h[:, :n]
+            out /= total
             x += out.reshape(d) @ model.wo[layer]
             # inline, not _mlp: its row-piece buffers and calls cost a decode step ~3%
             hidden = _rms_row(x) @ model.w_in[layer]
             x += np.maximum(hidden, 0.0, out=hidden) @ model.w_out[layer]
         np.matmul(_rms_row(x), model.unembed, out=logits[s + 1])
-    attn_split /= heads  # the loop summed the heads' masses
-    # reduceat has no empty segment: a layer with no visual entry got its first text entry
-    attn_split[:, [c == cache.text_len for c in counts], 0] = 0.0
-    return DecodeOutput(tokens=logits.argmax(axis=1), logits=logits, attn_split=attn_split)
+    if masses is not None:
+        masses /= heads  # the loop summed the heads' shares
+        # reduceat has no empty segment: a layer with no visual entry got its first text entry
+        masses[:, [c == cache.text_len for c in counts], 0] = 0.0
+    return DecodeOutput(tokens=logits.argmax(axis=1), logits=logits)
 
 
-def attention_ratio_trace(out: DecodeOutput) -> np.ndarray:
-    """Per-layer (visual_ratio, text_ratio) over prompt positions, averaged over steps.
+def attention_ratio_trace(masses: np.ndarray) -> np.ndarray:
+    """Per-layer (visual_ratio, text_ratio) over prompt positions, averaged over the
+    forwards of decode's (forwards, layers, 2) prompt masses.
 
     Each step's pair is normalized to sum to 1 before averaging, so layers
     whose cache holds no visual prompt entries report exactly (0, 1).
     """
-    if out.num_forwards < 1:
+    if len(masses) < 1:
         raise ValueError("no decode forwards recorded")
-    totals = out.attn_split.sum(axis=-1, keepdims=True)
+    totals = masses.sum(axis=-1, keepdims=True)
     if np.any(totals == 0.0):
         raise ValueError("layer with zero prompt attention mass")
-    ratios = out.attn_split / totals
-    return ratios.mean(axis=0)
+    return (masses / totals).mean(axis=0)

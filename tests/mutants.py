@@ -162,10 +162,24 @@ MUTANTS = (
     ),
     Mutant(
         "kv_policy_keeps_the_text_head", "metok/toy_llm.py",
-        "(a[len(a) - cache.text_len :].copy() for a in (k, v))",
-        "(a[: cache.text_len].copy() for a in (k, v))",
+        "tail = np.arange(c - cache.text_len, c)",
+        "tail = np.arange(cache.text_len)",
         ("tests/test_schedule.py::TestKvKeepMask::test_text_never_removed",
          "tests/test_toy_llm.py::TestKvPolicyAndDecode::test_drop_matches_neg_inf_masking"),
+    ),
+    Mutant(
+        "decode_writes_generated_kv_one_row_early", "metok/toy_llm.py",
+        "k[c + s], v[c + s] = qkv[d : 2 * d], qkv[2 * d :]",
+        "k[c + s - 1], v[c + s - 1] = qkv[d : 2 * d], qkv[2 * d :]",
+        # step 0 overwrites the prompt's last entry
+        ("tests/test_toy_llm.py::TestKvPolicyAndDecode::test_decode_leaves_cache_unchanged",),
+    ),
+    Mutant(
+        "prompt_mass_skips_normalisation", "metok/toy_llm.py",
+        "[0, c - cache.text_len], axis=-1) / total[:, 0]",
+        "[0, c - cache.text_len], axis=-1)",
+        ("tests/test_toy_llm.py::TestAttentionRatios::"
+         "test_uniform_attention_mass_proportional_to_counts",),
     ),
     Mutant(
         "scaled_stride_rounds_down", "metok/vision.py",

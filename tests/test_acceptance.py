@@ -145,7 +145,7 @@ def test_criterion_4_softmax_exclusion_identity():
             l1=max(1, l1), l2=max(1, l1) + 3, l3=max(1, l1) + 6,
             r=0.5, alpha=0.5, total_layers=layers, n_key=n_key, n_nonkey=n_nonkey,
         )
-        res = prefill(model, stream, sched, make_text(m, 16, seed=cfg.seed + 2))
+        res = prefill(model, stream, sched, make_text(m, 16, seed=cfg.seed + 2), room=3)
         drop = sched.l1
         out_drop = decode(model, apply_kv_policy(res.cache, drop), 4, res.final_logits)
         out_mask = reference_decode(model, res.cache, 4, res.final_logits, mask_from=drop)

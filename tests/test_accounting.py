@@ -13,6 +13,7 @@ from metok.accounting import (
 )
 from metok.data_io import RunConfig, config_with, gen_synthetic, read_embeddings, write_embeddings
 from metok.kernels import Rng64
+from metok import pipeline
 from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, kv_drop_layer
 from metok.toy_llm import apply_kv_policy, init_model, prefill
@@ -143,6 +144,28 @@ class TestAnalyticMatchesMeasured:
             assert res.layer_lengths == expected.layer_lengths
             masked = apply_kv_policy(res.cache, kv_drop_layer(cfg))
             assert masked.entry_counts() == expected.cached_positions
+
+    def test_cached_positions_count_entries_not_spare_rows(self, monkeypatch):
+        # a toy simulate's caches carry steps - 1 spare rows a layer, which no count includes
+        caches = []
+
+        def recording(cache, drop_layer):
+            caches.append(apply_kv_policy(cache, drop_layer))
+            return caches[-1]
+
+        monkeypatch.setattr(pipeline, "apply_kv_policy", recording)
+        frames, text = gen_synthetic(12, 4, 4, 16, seed=9, num_segments=3)
+        cfg = RunConfig(k=3, layers=6, heads=2, d_model=16, layer_boundaries=(1, 3, 5))
+        steps = 6
+        toy = run_simulation(frames, text, cfg, steps=steps)
+        priced = run_simulation(frames, text, cfg, steps=steps, analytic=True)
+        assert [cache.room for cache in caches] == [steps - 1] * 2
+        for cache, run in zip(caches, ("compressed", "baseline")):
+            counts = cache.entry_counts()
+            assert [len(k) for k in cache.k] == [c + steps - 1 for c in counts]
+            assert getattr(toy, run).cached_positions == counts
+            assert counts == getattr(priced, run).cached_positions
+        assert caches[0].entry_counts() != caches[1].entry_counts()
 
     def test_kv_bytes_match_stored_entries(self):
         cfg = RunConfig(layers=5, heads=2, d_model=16, layer_boundaries=(1, 3, 4), seed=3)

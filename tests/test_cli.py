@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from metok import cli, data_io, pipeline, vision
 from metok.accounting import analytic_trace
 from metok.cli import main
-from metok.toy_llm import attention_ratio_trace
+from metok.toy_llm import attention_ratio_trace, init_model
 from tests.test_acceptance import GOLDEN_CRITERION_8, criterion_8_io
 from tests.test_vision import vision_runs
 
@@ -231,10 +231,15 @@ class TestDiag:
         assert calls == {"prefill": 1, "decode": 1}  # the baseline run is not made
         monkeypatch.undo()
         frames, text = (data_io.read_embeddings(io[name]) for name in ("input", "text"))
-        result = pipeline.run_simulation(frames, text, data_io.load_config(config_path), steps=3)
+        cfg = data_io.load_config(config_path)
+        result = pipeline.run_simulation(frames, text, cfg, steps=3)
+        # the compressed run of that simulate, with its prompt masses asked for
+        masses = np.empty((2, cfg.layers, 2))
+        _, _, decoded, _ = pipeline.toy_run(frames, text, cfg, init_model(cfg), 3, masses)
+        assert np.array_equal(decoded.logits, result.decode_output.logits)
         lines = ["layer,visual_ratio,text_ratio"] + [
             f"{layer},{vis:.12g},{txt:.12g}"
-            for layer, (vis, txt) in enumerate(attention_ratio_trace(result.decode_output))]
+            for layer, (vis, txt) in enumerate(attention_ratio_trace(masses))]
         assert (out / "attention_ratio.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

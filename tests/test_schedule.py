@@ -169,16 +169,18 @@ class TestSelectAtBoundary:
             assert ceil_scaled(r * r, n) <= ceil_scaled(r, n)
 
 
-def hand_cache(n_vis, n_text, layers, d=4):
-    """Prefill-shaped cache: every layer holds all n_vis visual then n_text text rows.
+def hand_cache(n_vis, n_text, layers, d=4, room=0):
+    """Prefill-shaped cache: every layer holds all n_vis visual then n_text text rows, then
+    room spare rows of -1.
 
     Each row's key holds its prompt position in every column.
     """
     n = n_vis + n_text
-    cache = KvCache(prompt_len=n, text_len=n_text)
+    cache = KvCache(prompt_len=n, text_len=n_text, room=room)
     for _ in range(layers):
-        cache.k.append(np.repeat(np.arange(n, dtype=np.float64)[:, None], d, axis=1))
-        cache.v.append(np.zeros((n, d)))
+        rows = np.concatenate([np.arange(n, dtype=np.float64), np.full(room, -1.0)])
+        cache.k.append(np.repeat(rows[:, None], d, axis=1))
+        cache.v.append(np.zeros((n + room, d)))
     return cache
 
 
@@ -211,7 +213,11 @@ class TestKvKeepMask:
             n_vis = rng.next_raw() % 30
             n_text = 1 + rng.next_raw() % 10
             cfg = RunConfig(layers=layers, layer_boundaries=(l1, l1 + 1, l1 + 2))
-            cache = apply_kv_policy(hand_cache(n_vis, n_text, layers), kv_drop_layer(cfg))
+            room = rng.next_raw() % 3
+            cache = apply_kv_policy(hand_cache(n_vis, n_text, layers, room=room),
+                                    kv_drop_layer(cfg))
             text = np.arange(n_vis, n_vis + n_text)
-            for k in cache.k:
-                assert np.array_equal(k[len(k) - n_text :], np.repeat(text[:, None], 4, axis=1))
+            assert cache.room == room
+            for c, k in zip(cache.entry_counts(), cache.k):
+                assert len(k) == c + room
+                assert np.array_equal(k[c - n_text : c], np.repeat(text[:, None], 4, axis=1))

@@ -76,14 +76,19 @@ def qkv_weights(model, layer):
     return np.split(model.w_qkv[layer], 3, axis=1)
 
 
-def dense_prefill(model, stream, sched, text):
+def nan_room(a, room):
+    """a's rows, then room spare rows of NaN, which poison any read before a write."""
+    return np.concatenate([a, np.full((room, a.shape[1]), np.nan)])
+
+
+def dense_prefill(model, stream, sched, text, room=0):
     """Oracle prefill: dense attention on every layer; each boundary scores from
     the full (heads, n, n) probabilities, then projects its survivors again."""
     x, is_key, m = build_prefill_input(model, stream, text), stream.key_event, text.num_tokens
     ids = np.arange(x.shape[0])
     is_text = ids >= x.shape[0] - m
     boundaries = set(sched.boundary_layers())
-    cache = KvCache(prompt_len=x.shape[0], text_len=m)
+    cache = KvCache(prompt_len=x.shape[0], text_len=m, room=room)
     lengths = []
     for layer in range(model.layers):
         wq, wk, wv = qkv_weights(model, layer)
@@ -110,20 +115,26 @@ def dense_prefill(model, stream, sched, text):
         out = (p @ _split_heads(v_flat, model.heads)).transpose(1, 0, 2).reshape(n, -1)
         x = x + out @ model.wo[layer]
         x = x + np.maximum(_rms_norm(x) @ model.w_in[layer], 0.0) @ model.w_out[layer]
-        cache.k.append(k_flat)
-        cache.v.append(v_flat)
+        cache.k.append(nan_room(k_flat, room))
+        cache.v.append(nan_room(v_flat, room))
     return cache, lengths, _rms_norm(x)[-1] @ model.unembed
 
 
 def assert_same_cache(a, b, kv_tol=0.0):
-    """Equal metadata in every layer; keys/values equal, or within kv_tol."""
-    assert (a.prompt_len, a.text_len) == (b.prompt_len, b.text_len)
-    assert len(a.k) == len(b.k)
-    for layer in range(len(a.k)):
+    """Equal metadata and entry counts in every layer; the entries' keys/values equal, or
+    within kv_tol. The spare rows are not compared."""
+    assert (a.prompt_len, a.text_len, a.room) == (b.prompt_len, b.text_len, b.room)
+    assert a.entry_counts() == b.entry_counts()
+    for layer, c in enumerate(a.entry_counts()):
         for name in ("k", "v"):
             got, want = getattr(a, name)[layer], getattr(b, name)[layer]
             assert got.shape == want.shape
-            assert float(np.max(np.abs(got - want), initial=0.0)) <= kv_tol
+            assert float(np.max(np.abs(got[:c] - want[:c]), initial=0.0)) <= kv_tol
+
+
+def entry_bytes(cache):
+    """Every layer's K then V entries as bytes, the spare rows left out."""
+    return [a[:c].tobytes() for a, c in zip(cache.k + cache.v, 2 * cache.entry_counts())]
 
 
 def weights_checksum(model):
@@ -316,8 +327,8 @@ def scaled_qk(model, factor):
 
 def assert_matches_dense_prefill(model, stream, sched, text):
     """Keep sets, lengths and decoded tokens equal the dense oracle's; logits to 1e-9."""
-    res = prefill(model, stream, sched, text)
-    cache, lengths, final_logits = dense_prefill(model, stream, sched, text)
+    res = prefill(model, stream, sched, text, room=3)
+    cache, lengths, final_logits = dense_prefill(model, stream, sched, text, room=3)
     assert res.layer_lengths == lengths
     assert_same_cache(res.cache, cache, kv_tol=1e-12)
     assert float(np.max(np.abs(res.final_logits - final_logits))) <= 1e-9
@@ -427,6 +438,18 @@ class TestBlockedAttention:
         assert np.array_equal(a.final_logits, b.final_logits)
         assert_same_cache(a.cache, b.cache)
 
+    def test_spare_rows_change_no_entry(self):
+        # every layer, a boundary layer's compacted K and V included, gets room spare rows
+        model, stream, sched, text = self._pruned_run()
+        plain = prefill(model, stream, sched, text)
+        roomy = prefill(model, stream, sched, text, room=7)
+        assert roomy.cache.room == 7
+        assert [len(a) for a in roomy.cache.k + roomy.cache.v] == [
+            n + 7 for n in 2 * plain.layer_lengths]
+        assert roomy.layer_lengths == roomy.cache.entry_counts() == plain.layer_lengths
+        assert entry_bytes(roomy.cache) == entry_bytes(plain.cache)
+        assert np.array_equal(roomy.final_logits, plain.final_logits)
+
     @pytest.mark.parametrize("l3", [5, 6])
     def test_one_row_final_layer_matches_dense_prefill(self, l3):
         # the final layer runs only the last row; at l3=5 it is a boundary layer too
@@ -441,9 +464,9 @@ class TestBlockedAttention:
     @pytest.mark.parametrize("block", [64, 1024])
     def test_block_size_changes_only_rounding(self, block, monkeypatch):
         model, stream, sched, text = self._pruned_run()
-        ref = prefill(model, stream, sched, text)
+        ref = prefill(model, stream, sched, text, room=5)
         monkeypatch.setattr(toy_llm, "_QBLOCK", block)
-        res = prefill(model, stream, sched, text)
+        res = prefill(model, stream, sched, text, room=5)
         assert res.layer_lengths == ref.layer_lengths
         assert_same_cache(res.cache, ref.cache, kv_tol=1e-12)
         assert float(np.max(np.abs(res.final_logits - ref.final_logits))) <= 1e-12
@@ -571,16 +594,17 @@ class TestSoftmaxShift:
         assert all(_needs_shift(model, layer) for layer in range(model.layers))
         sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=4,
                               n_key=40, n_nonkey=20)
-        res = prefill(model, stream, sched, text)
+        res = prefill(model, stream, sched, text, room=8)
         assert np.all(np.isfinite(res.final_logits))
         assert_matches_dense_prefill(model, stream, sched, text)
         for cache in (res.cache, apply_kv_policy(res.cache, sched.l1)):
-            out = decode(model, cache, 9, res.final_logits)
-            want = reference_decode(model, cache, 9, res.final_logits)
+            masses, want_masses = np.empty((2, 8, model.layers, 2))
+            out = decode(model, cache, 9, res.final_logits, masses)
+            want = reference_decode(model, cache, 9, res.final_logits, masses=want_masses)
             assert np.all(np.isfinite(out.logits))
             assert np.array_equal(out.tokens, want.tokens)
-            for name in ("logits", "attn_split"):
-                assert float(np.max(np.abs(getattr(out, name) - getattr(want, name)))) <= 1e-12
+            for got, ref in ((out.logits, want.logits), (masses, want_masses)):
+                assert float(np.max(np.abs(got - ref))) <= 1e-12
 
 
 def _blas_name():
@@ -630,7 +654,7 @@ def test_row_pieces_on_different_workers_get_their_own_scratch(monkeypatch):
 
 
 class TestKvPolicyAndDecode:
-    def _prefilled(self, layers=6, seed=11, n_key=12, n_nonkey=6, m=4):
+    def _prefilled(self, room, layers=6, seed=11, n_key=12, n_nonkey=6, m=4):
         cfg = RunConfig(layers=layers, heads=2, d_model=16, seed=seed)
         model = init_model(cfg)
         stream = make_stream(n_key, n_nonkey, 8, seed=seed + 1)
@@ -638,44 +662,67 @@ class TestKvPolicyAndDecode:
             l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=layers,
             n_key=n_key, n_nonkey=n_nonkey,
         )
-        return model, prefill(model, stream, sched, make_text(m, 8, seed=seed + 2)), sched
+        text = make_text(m, 8, seed=seed + 2)
+        return model, prefill(model, stream, sched, text, room=room), sched
 
     def test_drop_matches_neg_inf_masking(self):
-        model, res, sched = self._prefilled()
+        model, res, sched = self._prefilled(room=5)
         out_a = decode(model, apply_kv_policy(res.cache, sched.l1), 6, res.final_logits)
         out_b = reference_decode(model, res.cache, 6, res.final_logits, mask_from=sched.l1)
         assert np.array_equal(out_a.tokens, out_b.tokens)
         assert float(np.max(np.abs(out_a.logits - out_b.logits))) <= 1e-9
 
     def test_decode_leaves_cache_unchanged(self):
-        model, res, sched = self._prefilled()
-        cache = apply_kv_policy(res.cache, sched.l1)
-        counts = cache.entry_counts()
-        first = decode(model, cache, 6, res.final_logits)
-        assert cache.entry_counts() == counts
-        second = decode(model, cache, 6, res.final_logits)
-        assert cache.entry_counts() == counts
+        # decode writes the spare rows of both caches, the kept layers' shared with the
+        # prefill cache, and no entry of either
+        model, res, sched = self._prefilled(room=5)
+        caches = (res.cache, apply_kv_policy(res.cache, sched.l1))
+        counts = [c.entry_counts() for c in caches]
+        entries = [entry_bytes(c) for c in caches]
+        for c in caches:  # a spare row read before decode writes it poisons the logits
+            for a, n in zip(c.k + c.v, 2 * c.entry_counts()):
+                a[n:] = np.nan
+        first = decode(model, caches[1], 6, res.final_logits)
+        second = decode(model, caches[1], 6, res.final_logits)
+        assert np.all(np.isfinite(first.logits))
+        assert [c.entry_counts() for c in caches] == counts
+        assert [entry_bytes(c) for c in caches] == entries
         assert np.array_equal(first.tokens, second.tokens)
         assert np.array_equal(first.logits, second.logits)
 
+    @pytest.mark.parametrize("room", [0, 4])
+    def test_steps_beyond_the_room_refused_before_any_forward(self, room, monkeypatch):
+        model, res, sched = self._prefilled(room=room)
+        cache = apply_kv_policy(res.cache, sched.l1)
+        decode(model, cache, room + 1, res.final_logits)  # the room is enough for room + 1
+
+        def forward(*args):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(toy_llm, "_rms_row", forward)
+        with pytest.raises(ValueError, match="spare cache rows"):
+            decode(model, cache, room + 2, res.final_logits)
+
     def test_kept_layers_are_shared_not_copied(self):
-        model, res, sched = self._prefilled()
+        model, res, sched = self._prefilled(room=5)
         drop = sched.l1
         assert 0 < drop < model.layers
         cache = apply_kv_policy(res.cache, drop)
+        assert cache.room == res.cache.room == 5
         for layer in range(model.layers):
             for name in ("k", "v"):
                 shared = np.shares_memory(getattr(cache, name)[layer],
                                           getattr(res.cache, name)[layer])
                 assert shared == (layer < drop)
-        out = decode(model, cache, 6, res.final_logits)
-        want = decode(model, copy.deepcopy(cache), 6, res.final_logits)
+        masses, want_masses = np.empty((2, 5, model.layers, 2))
+        out = decode(model, cache, 6, res.final_logits, masses)
+        want = decode(model, copy.deepcopy(cache), 6, res.final_logits, want_masses)
         assert np.array_equal(out.tokens, want.tokens)
         assert np.array_equal(out.logits, want.logits)
-        assert np.array_equal(out.attn_split, want.attn_split)
+        assert np.array_equal(masses, want_masses)
 
     def test_policy_off_is_bitwise_noop(self):
-        model, res, _ = self._prefilled()
+        model, res, _ = self._prefilled(room=4)
         plain = apply_kv_policy(res.cache, model.layers)
         out_a = decode(model, plain, 5, res.final_logits)
         out_b = decode(model, apply_kv_policy(res.cache, model.layers), 5, res.final_logits)
@@ -683,34 +730,35 @@ class TestKvPolicyAndDecode:
         assert np.array_equal(out_a.logits, out_b.logits)
 
     def test_deterministic_tokens(self):
-        model, res, sched = self._prefilled(seed=21)
+        model, res, sched = self._prefilled(room=7, seed=21)
         a = decode(model, apply_kv_policy(res.cache, sched.l1), 8, res.final_logits)
-        model2, res2, sched2 = self._prefilled(seed=21)
+        model2, res2, sched2 = self._prefilled(room=7, seed=21)
         b = decode(model2, apply_kv_policy(res2.cache, sched2.l1), 8, res2.final_logits)
         assert np.array_equal(a.tokens, b.tokens)
         assert np.array_equal(a.logits, b.logits)
 
     def test_causality_prefix_stable(self):
-        model, res, sched = self._prefilled(seed=31)
+        model, res, sched = self._prefilled(room=6, seed=31)
         long = decode(model, apply_kv_policy(res.cache, sched.l1), 7, res.final_logits)
         short = decode(model, apply_kv_policy(res.cache, sched.l1), 4, res.final_logits)
         assert np.array_equal(long.tokens[:4], short.tokens)
         assert np.array_equal(long.logits[:4], short.logits)
 
     def test_steps_validation(self):
-        model, res, sched = self._prefilled()
+        model, res, sched = self._prefilled(room=0)
         with pytest.raises(ValueError):
             decode(model, apply_kv_policy(res.cache, sched.l1), 0, res.final_logits)
 
     def test_token_count_matches_steps(self):
-        model, res, sched = self._prefilled()
+        model, res, sched = self._prefilled(room=8)
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 9, res.final_logits)
         assert out.tokens.shape == (9,)
         assert out.logits.shape[0] == 9
+        assert out.num_forwards == 8
 
     @pytest.mark.parametrize("shape", [(255,), (257,), (1, 256), ()])
     def test_first_logits_shape_checked_before_any_forward(self, shape, monkeypatch):
-        model, res, sched = self._prefilled()
+        model, res, sched = self._prefilled(room=3)
 
         def forward(*args):
             raise AssertionError("a forward ran")
@@ -720,17 +768,19 @@ class TestKvPolicyAndDecode:
             decode(model, apply_kv_policy(res.cache, sched.l1), 4, np.zeros(shape))
 
 
-def reference_decode(model, cache, steps, first_logits, mask_from=None):
+def reference_decode(model, cache, steps, first_logits, mask_from=None, masses=None):
     """Per-head decode as it ran before the fused layer-step: three projections,
-    split-head views of whole-width buffers, concatenated scores, head-mean sums.
+    split-head views of whole-width buffers, generated K/V kept apart from the cache's
+    entries, concatenated scores, head-mean sums. It reads only the cache's entries.
 
     Cached visual entries of layers from mask_from upward stay in place but get
     -inf attention scores: the masking that the KV policy's drop must equal.
+    Given masses, it writes decode's prompt masses there.
     """
     mask_from = model.layers if mask_from is None else mask_from
     tokens = [int(np.argmax(first_logits))]
     logits_rows = [np.asarray(first_logits, dtype=np.float64)]
-    attn_split = np.zeros((steps - 1, model.layers, 2))
+    masses = np.zeros((steps - 1, model.layers, 2)) if masses is None else masses
     gen_k = np.empty((model.layers, steps - 1, model.d_model))
     gen_v = np.empty((model.layers, steps - 1, model.d_model))
     scale = math.sqrt(model.head_dim)
@@ -745,9 +795,9 @@ def reference_decode(model, cache, steps, first_logits, mask_from=None):
             q = _split_heads(h @ wq, model.heads)
             gen_k[layer, s] = (h @ wk)[0]
             gen_v[layer, s] = (h @ wv)[0]
-            c = cache.k[layer].shape[0]
+            c = cache.entry_counts()[layer]
             n_vis = c - cache.text_len  # cached entries [:n_vis] are visual, the rest text
-            k_c = _split_heads(cache.k[layer], model.heads)
+            k_c = _split_heads(cache.k[layer][:c], model.heads)
             k_g = _split_heads(gen_k[layer, : s + 1], model.heads)
             scores = np.concatenate(
                 [q @ k_c.transpose(0, 2, 1), q @ k_g.transpose(0, 2, 1)], axis=-1
@@ -758,9 +808,9 @@ def reference_decode(model, cache, steps, first_logits, mask_from=None):
             p = np.exp(scores)
             p /= p.sum(axis=-1, keepdims=True)
             head_mean = p[:, :c].mean(axis=0)
-            attn_split[s, layer, 0] = head_mean[:n_vis].sum()
-            attn_split[s, layer, 1] = head_mean[n_vis:].sum()
-            out = p[:, None, :c] @ _split_heads(cache.v[layer], model.heads)
+            masses[s, layer, 0] = head_mean[:n_vis].sum()
+            masses[s, layer, 1] = head_mean[n_vis:].sum()
+            out = p[:, None, :c] @ _split_heads(cache.v[layer][:c], model.heads)
             out += p[:, None, c:] @ _split_heads(gen_v[layer, : s + 1], model.heads)
             x = x + (out.reshape(1, model.d_model) @ model.wo[layer])[0]
             hidden = _rms_norm(x[None, :]) @ model.w_in[layer]
@@ -768,11 +818,8 @@ def reference_decode(model, cache, steps, first_logits, mask_from=None):
         logits = _rms_norm(x[None, :])[0] @ model.unembed
         tokens.append(int(np.argmax(logits)))
         logits_rows.append(logits)
-    return toy_llm.DecodeOutput(
-        tokens=np.array(tokens, dtype=np.int64),
-        logits=np.stack(logits_rows),
-        attn_split=attn_split,
-    )
+    return toy_llm.DecodeOutput(tokens=np.array(tokens, dtype=np.int64),
+                                logits=np.stack(logits_rows))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 17])
@@ -787,17 +834,19 @@ def test_decode_matches_per_head_reference(heads, d_model, kind, steps):
     model = init_model(RunConfig(layers=layers, heads=heads, d_model=d_model, seed=heads + d_model))
     sched = PruneSchedule(l1=1, l2=2, l3=3, r=0.5, alpha=0.5, total_layers=layers,
                           n_key=10, n_nonkey=5)
-    res = prefill(model, make_stream(10, 5, 8, seed=3), sched, make_text(3, 8, seed=4))
+    res = prefill(model, make_stream(10, 5, 8, seed=3), sched, make_text(3, 8, seed=4),
+                  room=steps - 1)
     drop = 0 if kind == "text_only" else 2
     cache = apply_kv_policy(res.cache, drop)
-    out = decode(model, cache, steps, res.final_logits)
+    masses, want_masses = np.empty((2, steps - 1, layers, 2))
+    out = decode(model, cache, steps, res.final_logits, masses)
     if kind == "masked":
-        want = reference_decode(model, res.cache, steps, res.final_logits, mask_from=drop)
+        want = reference_decode(model, res.cache, steps, res.final_logits, mask_from=drop,
+                                masses=want_masses)
     else:
-        want = reference_decode(model, cache, steps, res.final_logits)
+        want = reference_decode(model, cache, steps, res.final_logits, masses=want_masses)
     assert np.array_equal(out.tokens, want.tokens)
-    for name in ("logits", "attn_split"):
-        got, ref = getattr(out, name), getattr(want, name)
+    for got, ref in ((out.logits, want.logits), (masses, want_masses)):
         assert got.shape == ref.shape
         assert float(np.max(np.abs(got - ref), initial=0.0)) <= 1e-12
 
@@ -875,9 +924,10 @@ class TestAttentionRatios:
         sched = PruneSchedule(
             l1=2, l2=4, l3=5, r=0.5, alpha=0.5, total_layers=6, n_key=12, n_nonkey=6
         )
-        res = prefill(model, stream, sched, make_text(4, 8))
-        out = decode(model, apply_kv_policy(res.cache, sched.l1), 5, res.final_logits)
-        ratios = attention_ratio_trace(out)
+        res = prefill(model, stream, sched, make_text(4, 8), room=4)
+        masses = np.empty((4, 6, 2))
+        decode(model, apply_kv_policy(res.cache, sched.l1), 5, res.final_logits, masses)
+        ratios = attention_ratio_trace(masses)
         assert np.allclose(ratios.sum(axis=-1), 1.0, atol=1e-12)
         for layer in range(sched.l1, 6):
             assert ratios[layer, 0] == 0.0
@@ -889,9 +939,12 @@ class TestAttentionRatios:
         for layer in range(2):
             model.w_qkv[layer][:, :16] = 0.0  # zero Q
         stream = make_stream(30, 0, 8)
-        res = prefill(model, stream, disabled_schedule(2), make_text(10, 8))
-        out = decode(model, apply_kv_policy(res.cache, 2), 2, res.final_logits)
-        ratios = attention_ratio_trace(out)
+        res = prefill(model, stream, disabled_schedule(2), make_text(10, 8), room=1)
+        masses = np.empty((1, 2, 2))
+        decode(model, apply_kv_policy(res.cache, 2), 2, res.final_logits, masses)
+        # 40 prompt entries and the generated one share the mass evenly
+        assert masses[0, 0] == pytest.approx([30 / 41, 10 / 41], abs=1e-12)
+        ratios = attention_ratio_trace(masses)
         assert ratios[0, 0] == pytest.approx(0.75, abs=1e-12)
         assert ratios[0, 1] == pytest.approx(0.25, abs=1e-12)
 
@@ -899,9 +952,10 @@ class TestAttentionRatios:
         model, = (init_model(RunConfig(layers=2, heads=2, d_model=16)),)
         stream = make_stream(4, 0, 8)
         res = prefill(model, stream, disabled_schedule(2), make_text(2, 8))
-        out = decode(model, apply_kv_policy(res.cache, 2), 1, res.final_logits)
+        masses = np.empty((0, 2, 2))
+        decode(model, apply_kv_policy(res.cache, 2), 1, res.final_logits, masses)
         with pytest.raises(ValueError):
-            attention_ratio_trace(out)
+            attention_ratio_trace(masses)
 
 
 class TestPositionalEncoding:
@@ -923,6 +977,6 @@ class TestPositionalEncoding:
         model = init_model(cfg)
         n_key, n_nonkey = stream.group_counts()
         sched = PruneSchedule.from_config(cfg, n_key, n_nonkey)
-        res = prefill(model, stream, sched, text)
+        res = prefill(model, stream, sched, text, room=3)
         out = decode(model, apply_kv_policy(res.cache, sched.l1), 4, res.final_logits)
         assert out.tokens.shape == (4,)
