@@ -2,8 +2,11 @@
 
 Every run writes a manifest.json capturing the tool version, seed, effective
 config, and sha256 digests of inputs and artifacts, so any artifact can be
-reproduced bit for bit from its manifest. The input digests are computed on a
-worker thread while the command runs; the thread never outlives the command.
+reproduced bit for bit from its manifest. A command's body returns its
+artifacts as bytes, and one writer writes them and hashes the bytes it wrote,
+so no artifact is read back; gen streams its MEBF files and hashes those. The
+input digests are computed on a worker thread while the command runs; the
+thread never outlives the command.
 The config file sets every RunConfig field outside RUNTIME_FIELDS; flags set
 those. Exit codes: 0 success, 1 usage error, 2 data error (a malformed config
 or input file, or inputs that do not fit together); any other failure is a bug
@@ -76,37 +79,24 @@ def _sha256(path: Path, stop: threading.Event | None = None) -> str | None:
     return digest.hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path) as fh:
-        fh.write(text.encode())
+def _json(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _manifest(command: str, argv: list[str], seed: int, config: dict,
+              inputs: dict[str, str], artifacts: dict[str, str]) -> bytes:
+    """manifest.json's bytes, from the sha256 digests of the inputs and of the artifacts."""
+    return _json({"tool": "metok", "version": __version__, "command": command, "argv": argv,
+                  "seed": seed, "config": config, "inputs": inputs, "artifacts": artifacts})
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    argv: list[str],
-    seed: int,
-    config: dict,
-    inputs: dict[str, str],
-    artifacts: list[Path],
-) -> None:
-    """Write manifest.json from the inputs' sha256 digests; the artifacts are hashed here."""
-    manifest = {
-        "tool": "metok",
-        "version": __version__,
-        "command": command,
-        "argv": argv,
-        "seed": seed,
-        "config": config,
-        "inputs": dict(sorted(inputs.items())),
-        "artifacts": {p.relative_to(out_dir).as_posix(): _sha256(p) for p in sorted(artifacts)},
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+def _write(out: Path, files: dict[str, bytes]) -> None:
+    """Write each file, named relative to out, through atomic_write."""
+    for name, data in files.items():
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(path) as fh:
+            fh.write(data)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -123,13 +113,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _on_inputs(command: str, body):
     """Handler of a command over --config, --input and --text.
 
-    Once the config and inputs pass their checks, body(args, cfg, frames, text,
-    out) writes the artifacts and returns their paths; the manifest comes last.
-    The inputs are hashed on one worker thread while the rest runs (hashlib
-    releases the GIL), and the thread is joined before the handler returns.
-    A hash error surfaces only once the body has succeeded; a failed command
-    stops the hashing at its next chunk rather than waiting for digests it
-    will not write.
+    Once the config and inputs pass their checks, body(args, cfg, frames, text)
+    runs and returns its files' bytes by name relative to --out; the handler
+    writes them, and manifest.json, whose artifact digests hash those bytes,
+    comes last. The inputs are hashed on one worker thread while the rest runs
+    (hashlib releases the GIL), and the thread is joined before the handler
+    returns. A hash error surfaces only once the body's files are written; a
+    failed command stops the hashing at its next chunk rather than waiting for
+    digests it will not write.
     """
     def handler(args, argv) -> int:
         stop = threading.Event()
@@ -150,12 +141,13 @@ def _on_inputs(command: str, body):
                     raise MebfError(f"{args.text}: expected a text embedding record")
                 if frames.dim != text.dim:
                     raise MebfError(f"embedding dims differ: frames {frames.dim}, text {text.dim}")
+                files = body(args, cfg, frames, text)
                 out = Path(args.out)
-                artifacts = body(args, cfg, frames, text, out)
-                _write_manifest(
-                    out, command, argv, cfg.seed, cfg.to_dict(),
-                    {name: digest.result() for name, digest in digests.items()}, artifacts,
-                )
+                _write(out, files)  # while the inputs may still be hashing
+                inputs = {name: digest.result() for name, digest in digests.items()}
+                artifacts = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+                _write(out, {"manifest.json": _manifest(command, argv, cfg.seed, cfg.to_dict(),
+                                                        inputs, artifacts)})
             finally:
                 stop.set()  # on success every digest is already in hand
         return 0
@@ -177,44 +169,37 @@ def _cmd_gen(args, argv) -> int:
     video_path, text_path = out / "video.mebf", out / "text.mebf"
     write_embeddings(frames, video_path)
     write_embeddings(text, text_path)
-    _write_manifest(
-        out, "gen", argv, args.seed,
-        {
-            "frames": args.frames, "grid": [h, w], "dim": args.dim,
-            "events": args.events, "text_event": args.text_event, "text_len": args.text_len,
-        },
-        {}, [video_path, text_path],
-    )
+    config = {
+        "frames": args.frames, "grid": [h, w], "dim": args.dim,
+        "events": args.events, "text_event": args.text_event, "text_len": args.text_len,
+    }
+    artifacts = {path.name: _sha256(path) for path in (video_path, text_path)}
+    _write(out, {"manifest.json": _manifest("gen", argv, args.seed, config, {}, artifacts)})
     print(f"wrote {video_path} ({frames.num_frames}x{frames.tokens_per_frame}x{frames.dim}) "
           f"and {text_path} ({text.num_tokens} prompt tokens)")
     return 0
 
 
-def _compress(args, cfg, frames, text, out) -> list[Path]:
+def _compress(args, cfg, frames, text) -> dict[str, bytes]:
     plan = plan_vision_stage(frames, text, cfg)
     stats = compress_stats(plan, frames.num_frames * frames.tokens_per_frame)
-    stats_path = out / "stream_stats.json"
-    _write_json(stats_path, stats)
     print(f"retained {stats['retained_tokens']} of {stats['raw_tokens']} tokens "
           f"({100 * stats['retained_fraction']:.2f}%)")
-    return [stats_path]
+    return {"stream_stats.json": _json(stats)}
 
 
-def _simulate(args, cfg, frames, text, out) -> list[Path]:
+def _simulate(args, cfg, frames, text) -> dict[str, bytes]:
     result = run_simulation(frames, text, cfg, steps=args.steps, analytic=args.analytic)
-    report_path, trace_path = out / "report.json", out / "trace.json"
-    _write_json(report_path, result.report.to_dict())
-    _write_json(trace_path, result.trace_dict())
     rep = result.report
     if result.prefill_ms is not None:
         print(f"prefill_ms baseline={result.prefill_ms['baseline']:.3f} "
               f"compressed={result.prefill_ms['compressed']:.3f}")
     print(f"flops reduction {rep.flops_reduction_pct:.2f}%  "
           f"kv reduction {rep.kv_reduction_pct:.2f}%")
-    return [report_path, trace_path]
+    return {"report.json": _json(rep.to_dict()), "trace.json": _json(result.trace_dict())}
 
 
-def _diag_attention_ratio(args, cfg, frames, text, out) -> list[Path]:
+def _diag_attention_ratio(args, cfg, frames, text) -> dict[str, bytes]:
     if args.steps < 2:
         raise UsageError("attention-ratio needs --steps >= 2 to record a decode forward")
     masses = np.empty((args.steps - 1, cfg.layers, 2))
@@ -222,10 +207,8 @@ def _diag_attention_ratio(args, cfg, frames, text, out) -> list[Path]:
     ratios = attention_ratio_trace(masses)
     lines = ["layer,visual_ratio,text_ratio"]
     lines += [f"{layer},{vis:.12g},{txt:.12g}" for layer, (vis, txt) in enumerate(ratios)]
-    csv_path = out / "attention_ratio.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    return [csv_path]
+    print(f"wrote {Path(args.out) / 'attention_ratio.csv'}")
+    return {"attention_ratio.csv": ("\n".join(lines) + "\n").encode()}
 
 
 _SWEEPABLE = ("k", "alpha", "beta", "s1", "s2", "r", "layers")
@@ -252,7 +235,7 @@ def _parse_sweep_params(params: list[str]) -> dict[str, list]:
     return axes
 
 
-def _sweep(args, cfg, frames, text, out) -> list[Path]:
+def _sweep(args, cfg, frames, text) -> dict[str, bytes]:
     axes = _parse_sweep_params(args.param)
     points = list(itertools.product(*axes.values()))
     # every point's config is checked before any point runs
@@ -261,18 +244,15 @@ def _sweep(args, cfg, frames, text, out) -> list[Path]:
     reports = [run_simulation(frames, text, point_cfg, steps=args.steps, analytic=True).report
                for point_cfg in point_cfgs]
 
-    # written only once every point has run, so a failed point leaves nothing behind
-    report_paths = []
+    files = {}
     lines = ["point," + ",".join(axes) + ",flops_reduction_pct,kv_reduction_pct"]
     for index, (point, rep) in enumerate(zip(points, reports)):
-        report_paths.append(out / f"point_{index:03d}" / "report.json")
-        _write_json(report_paths[-1], rep.to_dict())
+        files[f"point_{index:03d}/report.json"] = _json(rep.to_dict())
         values = ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in point)
         lines.append(f"{index},{values},{rep.flops_reduction_pct:.12g},{rep.kv_reduction_pct:.12g}")
-    summary_path = out / "summary.csv"
-    _write_text(summary_path, "\n".join(lines) + "\n")
+    files["summary.csv"] = ("\n".join(lines) + "\n").encode()
     print(f"swept {len(points)} points over {list(axes)}")
-    return [summary_path, *report_paths]
+    return files
 
 
 def _add_io_args(p: _Parser, command: str, body, with_steps: bool = True) -> None:

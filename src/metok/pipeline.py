@@ -83,15 +83,17 @@ def toy_run(frames: FrameEmbeddings, text: TextEmbedding, cfg: RunConfig, model,
             ) -> tuple[TokenStream, InferenceTrace, DecodeOutput | None, float]:
     """One toy-model run: its pooled stream, trace, decode (steps >= 1) and prefill ms.
 
-    The prefill cache has steps - 1 spare rows a layer for decode's generated K/V.
-    Given masses, decode writes its prompt masses there (toy_llm.decode).
+    The prefill cache has steps - 1 spare rows a layer for decode's generated K/V,
+    and the KV policy's cache replaces it before decode, so the entries the policy
+    drops are freed rather than held through decode. Given masses, decode writes
+    its prompt masses there (toy_llm.decode).
     """
     stream, _ = run_vision_stage(frames, text, cfg)
     sched = PruneSchedule.from_config(cfg, *stream.group_counts())
     t0 = time.perf_counter()
     res = prefill(model, stream, sched, text, room=max(0, steps - 1))
     prefill_ms = (time.perf_counter() - t0) * 1000.0
-    cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))
+    res.cache = cache = apply_kv_policy(res.cache, kv_drop_layer(cfg))  # frees dropped entries
     out = decode(model, cache, steps, res.final_logits, masses) if steps >= 1 else None
     trace = InferenceTrace(
         layer_lengths=res.layer_lengths,

@@ -440,15 +440,16 @@ def apply_kv_policy(cache: KvCache, drop_layer: int) -> KvCache:
     """Drop cached visual entries from drop_layer upward; text always stays.
 
     Those layers keep a copy of only their text tail, with the input's room
-    after it. Every array the policy does not filter is the input cache's own,
-    shared rather than copied, so decoding either cache writes the spare rows
-    of the kept layers; no entry of either is ever written. Decoding the result
+    after it. Every array the policy does not filter, a layer below drop_layer
+    or one that holds only text, is the input cache's own, shared rather than
+    copied, so decoding either cache writes the spare rows of the shared
+    layers; no entry of either is ever written. Decoding the result
     equals decoding the input with those entries' attention scores set to -inf,
     up to float summation order.
     """
     out = KvCache(cache.prompt_len, cache.text_len, cache.room)
     for layer, (c, k, v) in enumerate(zip(cache.entry_counts(), cache.k, cache.v)):
-        if layer >= drop_layer:
+        if layer >= drop_layer and c > cache.text_len:
             tail = np.arange(c - cache.text_len, c)
             k, v = (_with_room(a, tail, cache.room) for a in (k, v))
         out.k.append(k)

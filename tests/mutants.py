@@ -40,8 +40,8 @@ class Mutant:
 MUTANTS = (
     Mutant(
         "kv_policy_drops_one_layer_late", "metok/toy_llm.py",
-        "        if layer >= drop_layer:\n",
-        "        if layer > drop_layer:\n",
+        "        if layer >= drop_layer and c > cache.text_len:\n",
+        "        if layer > drop_layer and c > cache.text_len:\n",
         ("tests/test_toy_llm.py::TestKvPolicyAndDecode::test_drop_matches_neg_inf_masking",
          "tests/test_acceptance.py::test_criterion_4_softmax_exclusion_identity"),
     ),
@@ -205,6 +205,12 @@ MUTANTS = (
         'np.argsort(-scores, kind="quicksort")',
         ("tests/test_kernels.py::TestTopKStable::test_ties_past_the_small_array_sorts",
          "tests/test_vision.py::TestSegmentEvents::test_matches_brute_force_oracle"),
+    ),
+    Mutant(
+        "manifest_omits_an_artifact", "metok/cli.py",
+        "for name, data in files.items()}",
+        "for name, data in list(files.items())[:-1]}",
+        ("tests/test_cli.py::test_manifest_digests_recomputable[compress]",),
     ),
     Mutant(
         "importance_takes_the_max", "metok/schedule.py",

@@ -709,11 +709,14 @@ class TestKvPolicyAndDecode:
         assert 0 < drop < model.layers
         cache = apply_kv_policy(res.cache, drop)
         assert cache.room == res.cache.room == 5
+        counts = res.cache.entry_counts()
+        text_only = [c == res.cache.text_len for c in counts]
+        assert text_only[-1] and not text_only[drop]  # both kinds of layer from drop upward
         for layer in range(model.layers):
             for name in ("k", "v"):
                 shared = np.shares_memory(getattr(cache, name)[layer],
                                           getattr(res.cache, name)[layer])
-                assert shared == (layer < drop)
+                assert shared == (layer < drop or text_only[layer])
         masses, want_masses = np.empty((2, 5, model.layers, 2))
         out = decode(model, cache, 6, res.final_logits, masses)
         want = decode(model, copy.deepcopy(cache), 6, res.final_logits, want_masses)
