@@ -5,8 +5,9 @@ config, and sha256 digests of inputs and artifacts, so any artifact can be
 reproduced bit for bit from its manifest. A command's body returns its
 artifacts as bytes, and one writer writes them and hashes the bytes it wrote,
 so no artifact is read back; gen streams its MEBF files and hashes those. The
-input digests are computed on a worker thread while the command runs; the
-thread never outlives the command.
+input digests are computed on a worker thread while the command runs, from the
+inputs' mapped pages one released slice at a time; the thread never outlives
+the command.
 The config file sets every RunConfig field outside RUNTIME_FIELDS; flags set
 those. Exit codes: 0 success, 1 usage error, 2 data error (a malformed config
 or input file, or inputs that do not fit together); any other failure is a bug
@@ -23,6 +24,8 @@ import argparse
 import hashlib
 import itertools
 import json
+import mmap
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -65,17 +68,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_HASH_CHUNK = 1 << 18  # bytes per read while hashing, so a large input is never held whole
+_HASH_SLICE = 1 << 20  # bytes hashed per GIL release; each slice's pages are released once hashed
+_RELEASE = getattr(mmap, "MADV_DONTNEED", None)  # None where mmap has no madvise (Windows)
 
 
 def _sha256(path: Path, stop: threading.Event | None = None) -> str | None:
-    """Hex sha256 of the file, or None if stop is set before the last chunk."""
+    """Hex sha256 of the file, or None if stop is set before the last slice.
+
+    The file is hashed from its mapped pages, so nothing is copied out of the
+    page cache, and each slice's pages leave the mapping once hashed, so at most
+    one slice of a large input counts toward RSS.
+    """
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            if stop is not None and stop.is_set():
-                return None
-            digest.update(chunk)
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses length 0
+            return digest.hexdigest()
+        with (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped,
+              memoryview(mapped) as view):
+            for start in range(0, len(mapped), _HASH_SLICE):
+                if stop is not None and stop.is_set():
+                    return None
+                digest.update(view[start : start + _HASH_SLICE])
+                if _RELEASE is not None:
+                    mapped.madvise(_RELEASE, start, _HASH_SLICE)
     return digest.hexdigest()
 
 
@@ -117,10 +132,10 @@ def _on_inputs(command: str, body):
     runs and returns its files' bytes by name relative to --out; the handler
     writes them, and manifest.json, whose artifact digests hash those bytes,
     comes last. The inputs are hashed on one worker thread while the rest runs
-    (hashlib releases the GIL), and the thread is joined before the handler
-    returns. A hash error surfaces only once the body's files are written; a
-    failed command stops the hashing at its next chunk rather than waiting for
-    digests it will not write.
+    (hashlib releases the GIL for each slice of mapped pages), and the thread is
+    joined before the handler returns. A hash error surfaces only once the
+    body's files are written; a failed command stops the hashing at its next
+    slice rather than waiting for digests it will not write.
     """
     def handler(args, argv) -> int:
         stop = threading.Event()

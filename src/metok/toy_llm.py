@@ -93,6 +93,12 @@ class ToyModel:
     def head_dim(self) -> int:
         return self.d_model // self.heads
 
+    @functools.cached_property
+    def shifts(self) -> tuple[bool, ...]:
+        """Per layer, whether its softmax subtracts the row max (_needs_shift), computed
+        once: a model with other weights is a new ToyModel (dataclasses.replace)."""
+        return tuple(_needs_shift(self, layer) for layer in range(self.layers))
+
 
 def init_model(cfg: RunConfig) -> ToyModel:
     """Build the model with all weights drawn from Rng64(cfg.seed) in a fixed order."""
@@ -416,7 +422,7 @@ def prefill(model: ToyModel, stream: TokenStream, sched: PruneSchedule,
         # the final layer's queries: its last row, or the text rows a boundary scores from
         first = 0 if layer < last else len(x) - (text_len if layer in boundaries else 1)
         q, k, v = _norm_project(x, model.w_qkv[layer], q_scale, first, room)
-        shift = _needs_shift(model, layer)
+        shift = model.shifts[layer]
         if layer in boundaries:
             # RMS-norm and the projections act row by row, so a boundary layer
             # scores from its incoming rows and keeps the survivors' projections.
@@ -498,9 +504,8 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     q_scale = 1.0 / math.sqrt(head_dim)
     counts = cache.entry_counts()
     # per layer: entries, K and V, their split-head K^T and V views, and whether softmax shifts
-    layers = [(c, k, v, _split_heads(k, heads).transpose(0, 2, 1), _split_heads(v, heads),
-               _needs_shift(model, layer))
-              for layer, (c, k, v) in enumerate(zip(counts, cache.k, cache.v))]
+    layers = [(c, k, v, _split_heads(k, heads).transpose(0, 2, 1), _split_heads(v, heads), shift)
+              for c, k, v, shift in zip(counts, cache.k, cache.v, model.shifts)]
     scores = np.empty(heads * (max(counts) + gen))
     for s in range(gen):
         x = model.embed[np.argmax(logits[s])] + positions[s]

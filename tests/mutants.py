@@ -213,6 +213,19 @@ MUTANTS = (
         ("tests/test_cli.py::test_manifest_digests_recomputable[compress]",),
     ),
     Mutant(
+        "hash_keeps_mapped_pages", "metok/cli.py",
+        "                if _RELEASE is not None:\n"
+        "                    mapped.madvise(_RELEASE, start, _HASH_SLICE)\n",
+        "",
+        ("tests/test_cli.py::test_sha256_holds_one_slice_of_a_mapped_input",),
+    ),
+    Mutant(
+        "hash_skips_last_slice", "metok/cli.py",
+        "for start in range(0, len(mapped), _HASH_SLICE):",
+        "for start in range(0, len(mapped) - _HASH_SLICE, _HASH_SLICE):",
+        ("tests/test_cli.py::test_sha256_is_hashlib_of_the_bytes[2slice+3]",),
+    ),
+    Mutant(
         "importance_takes_the_max", "metok/schedule.py",
         "return cols.mean(axis=(1, 2))",
         "return cols.max(axis=(1, 2))",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import mmap
 import os
 import struct
 import subprocess
@@ -357,20 +358,22 @@ class TestExitCodes:
         "sweep-analytic", "simulate-missing-input", "simulate-non-finite"])
 def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path, monkeypatch,
                                           command, extra, fault, code):
-    class SlowSha256:  # 1 ms a chunk: the 12 KiB video alone is 770 chunks of 16 bytes
+    class SlowSha256:  # 0.1 s a one-page slice: the failed command ends long before the last
         updates = 0
 
         def __init__(self):
             self.digest = hashlib.sha256()
 
         def update(self, chunk):
-            time.sleep(1e-3)
+            time.sleep(0.1)
             SlowSha256.updates += 1
             self.digest.update(chunk)
 
     monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=SlowSha256))
-    monkeypatch.setattr(cli, "_HASH_CHUNK", 16)
+    monkeypatch.setattr(cli, "_HASH_SLICE", mmap.PAGESIZE)
     video = data_dir / "video.mebf"
+    slices = -(-video.stat().st_size // mmap.PAGESIZE)
+    assert slices > 1
     if fault == "bad-config":
         config_path.write_text('{"alpha": 1.5}')
     elif fault == "missing-input":
@@ -387,7 +390,7 @@ def test_failed_command_leaves_no_out_dir(data_dir, config_path, tmp_path, monke
     assert not out.exists()
     # the input hashing was stopped early, and its thread joined
     assert threading.active_count() == threads
-    assert SlowSha256.updates < 400
+    assert SlowSha256.updates < slices
 
 
 def test_count_only_commands_pool_no_token(tmp_path, monkeypatch):
@@ -462,6 +465,72 @@ def test_sha256_reads_in_chunks(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+_PAGE = mmap.PAGESIZE
+
+
+@pytest.mark.parametrize("size", [0, 1, _PAGE - 1, _PAGE, _PAGE + 1, 2 * _PAGE + 3],
+                         ids=["empty", "one", "slice-1", "slice", "slice+1", "2slice+3"])
+def test_sha256_is_hashlib_of_the_bytes(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(cli, "_HASH_SLICE", _PAGE)
+    data = np.random.default_rng(size).bytes(size)
+    p = tmp_path / "f.bin"
+    p.write_bytes(data)
+    assert cli._sha256(p) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_returns_none_once_stopped(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_HASH_SLICE", _PAGE)
+    p = tmp_path / "f.bin"
+    p.write_bytes(bytes(3 * _PAGE))
+    stop = threading.Event()
+    stop.set()
+    assert cli._sha256(p, stop) is None
+    stop.clear()
+
+    class StoppingSha256:  # the first update stops the hashing
+        updates = 0
+
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def update(self, chunk):
+            StoppingSha256.updates += 1
+            stop.set()
+            self.digest.update(chunk)
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=StoppingSha256))
+    assert cli._sha256(p, stop) is None
+    assert StoppingSha256.updates == 1
+
+
+# Peak RSS growth of hashing the file named by argv[1], and the slice size.
+_HASH_RSS = """
+import resource, sys
+from metok.cli import _HASH_SLICE, _sha256
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_sha256(sys.argv[1])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024, _HASH_SLICE)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_sha256_holds_one_slice_of_a_mapped_input(tmp_path):
+    """Each slice's mapped pages are released once hashed, so a 48 MiB input raises the
+    hashing process's peak RSS by a few slices at most, not by the file."""
+    p = tmp_path / "big.bin"
+    with open(p, "wb") as fh:
+        for _ in range(48):
+            fh.write(bytes(range(256)) * 4096)  # 1 MiB
+    env = dict(os.environ)
+    # the metok this test imported, so a mutated copy is the one measured
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HASH_RSS, str(p)], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    grown, hash_slice = map(int, proc.stdout.split())
+    assert grown < 4 * hash_slice, (grown, hash_slice)
 
 
 @pytest.mark.parametrize("command, extra", [
