@@ -48,19 +48,9 @@ class InferenceTrace:
     d_model: int
     mlp_ratio: float
 
-    def __post_init__(self):
-        if len(self.layer_lengths) != len(self.cached_positions):
-            raise ValueError("per-layer lists disagree on layer count")
-        if self.decode_steps < 0:
-            raise ValueError("decode_steps must be >= 0")
-        if any(n < 0 for n in self.layer_lengths) or any(c < 0 for c in self.cached_positions):
-            raise ValueError("negative counts in trace")
-
 
 def layer_flops(n: int, d_model: int, mlp_ratio: float) -> float:
     """Cost of one transformer layer over an n-token sequence (documented contract)."""
-    if n < 0:
-        raise ValueError("sequence length must be >= 0")
     d = d_model
     return (8 + 4 * mlp_ratio) * n * d * d + 4 * n * n * d
 
@@ -127,13 +117,8 @@ def reduction_report(
     config: dict | None = None,
 ) -> ReductionReport:
     """Compare two traces metric by metric: FLOPs and KV bytes, both deterministic."""
-    if (baseline.d_model, baseline.mlp_ratio) != (compressed.d_model, compressed.mlp_ratio):
-        raise ValueError("traces come from different model dims")
-    flops_b = pipeline_flops(baseline)
-    if flops_b == 0:
-        raise ValueError("baseline trace has zero FLOPs")
     return ReductionReport(
-        flops_baseline=flops_b,
+        flops_baseline=pipeline_flops(baseline),
         flops_compressed=pipeline_flops(compressed),
         kv_baseline=kv_bytes(baseline),
         kv_compressed=kv_bytes(compressed),

@@ -12,10 +12,13 @@ The config file sets every RunConfig field outside RUNTIME_FIELDS; flags set
 those. Exit codes: 0 success, 1 usage error, 2 data error (a malformed config
 or input file, or inputs that do not fit together); any other failure is a bug
 and surfaces as a traceback.
-A failed command writes nothing: --out and its artifacts appear only once the
-config and inputs pass every check, and a sweep writes only after every point
-has run. A command runs only the work it writes: compress and sweep read vision
-plans, never the toy model, and diag makes the compressed run alone.
+Config and inputs are checked once, as they enter; the library behind trusts
+them. A command that fails before its first write writes nothing: --out appears
+only once every check has passed and the body (each sweep point) has run. A
+failed write keeps the artifacts already written, each whole: a trace.json
+blocked by a directory leaves report.json. A command runs only the work it
+writes: compress and sweep read vision plans, never the toy model, and diag
+makes the compressed run alone.
 """
 
 from __future__ import annotations

@@ -379,6 +379,8 @@ class RunConfig:
             raise ConfigError(f"layer boundaries must be strictly increasing, got {self.layer_boundaries}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
+        if self.d_model < 1:
+            raise ConfigError("d_model must be >= 1")
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if not 0 < self.mlp_ratio < math.inf:

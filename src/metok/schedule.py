@@ -27,8 +27,6 @@ __all__ = [
     "token_importance",
 ]
 
-GROUPS = ("key", "non_key")
-
 
 @dataclass(frozen=True)
 class PruneSchedule:
@@ -42,18 +40,6 @@ class PruneSchedule:
     total_layers: int
     n_key: int = 0
     n_nonkey: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.l1 < self.l2 < self.l3:
-            raise ValueError(f"need 0 <= l1 < l2 < l3, got {(self.l1, self.l2, self.l3)}")
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"r must be in (0, 1], got {self.r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.total_layers < 1:
-            raise ValueError("total_layers must be >= 1")
-        if self.n_key < 0 or self.n_nonkey < 0:
-            raise ValueError("origin counts must be non-negative")
 
     @classmethod
     def from_config(cls, cfg: RunConfig, n_key: int, n_nonkey: int) -> "PruneSchedule":
@@ -85,10 +71,6 @@ def kv_drop_layer(cfg: RunConfig) -> int:
 
 def retention_ratio(layer: int, group: str, sched: PruneSchedule) -> float:
     """Fraction of the group's original tokens alive at the given layer's input."""
-    if not 0 <= layer < sched.total_layers:
-        raise ValueError(f"layer {layer} out of range [0, {sched.total_layers})")
-    if group not in GROUPS:
-        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
     if layer < sched.l1:
         return 1.0
     if group == "key":
@@ -110,10 +92,6 @@ def token_importance(attn: np.ndarray, visual_positions: np.ndarray) -> np.ndarr
     Gathering each token's values heads fastest, then text rows, fixes the sum's bits.
     """
     attn = np.asarray(attn, dtype=np.float64)
-    if attn.ndim != 3:
-        raise ValueError("attn must be (heads, text_queries, keys)")
-    if attn.shape[1] == 0:
-        raise ValueError("no text query rows")
     cols = np.take(attn.transpose(2, 1, 0), np.asarray(visual_positions, dtype=np.int64), axis=0)
     return cols.mean(axis=(1, 2))
 
@@ -133,8 +111,6 @@ def select_at_boundary(
     """
     scores = np.asarray(scores, dtype=np.float64)
     survivor_ids = np.asarray(survivor_ids, dtype=np.int64)
-    if scores.shape != survivor_ids.shape:
-        raise ValueError("scores and survivor_ids must align")
     keep = ceil_scaled(ratio, origin_count)
     if keep > scores.shape[0]:
         raise ValueError(

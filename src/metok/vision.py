@@ -19,7 +19,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .data_io import EVENT_SCORES, FRAME_REDUCES, ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
+from .data_io import ConfigError, FrameEmbeddings, RunConfig, TextEmbedding
 from .kernels import avg_pool_2d, ceil_scaled, cosines, top_k_stable
 
 __all__ = [
@@ -76,8 +76,6 @@ class EventPartition:
 def _adjacent_sims(v: FrameEmbeddings, frame_reduce: str) -> np.ndarray:
     """Adjacent-frame cosines: of the frame means the record holds, reading no token,
     or of (1, h*w*d) flat frames read two at a time."""
-    if frame_reduce not in FRAME_REDUCES:
-        raise ValueError(f"unknown frame_reduce mode {frame_reduce!r}")
     if frame_reduce == "mean":
         return cosines(v.frame_means[:-1], v.frame_means[1:])
     flat = (v.frame_grid(i).reshape(1, -1) for i in range(v.num_frames))
@@ -107,13 +105,7 @@ def score_relevance(text: TextEmbedding, partition: EventPartition,
     recorded it, against the text embedding. Event score aggregates its frames'
     scores by mean (default) or max. The input partition is left unchanged.
     """
-    if event_score not in EVENT_SCORES:
-        raise ValueError(f"unknown event_score mode {event_score!r}")
     means = partition.frame_means
-    if means is None:
-        raise ValueError("frame means not recorded; segment the video with segment_events")
-    if means.shape[1] != text.dim:
-        raise ValueError(f"embedding dims differ: frames {means.shape[1]}, text {text.dim}")
     frame_scores = cosines(means, np.broadcast_to(text.vector, means.shape))
     agg = np.mean if event_score == "mean" else np.max
     event_scores = np.array([float(agg(frame_scores[ev.start : ev.stop]))
@@ -128,8 +120,6 @@ def select_keys(partition: EventPartition, alpha: float, beta: float) -> EventPa
     loses all of its key frames. All selections break ties toward the earlier
     index. The input partition is left unchanged.
     """
-    if partition.event_scores is None or partition.frame_scores is None:
-        raise ValueError("scores not populated; run score_relevance first")
     k = partition.num_events
     key_event = np.zeros(k, dtype=bool)
     key_event[top_k_stable(partition.event_scores, ceil_scaled(alpha, k))] = True
@@ -198,10 +188,6 @@ class VisionPlan:
 def _stride_plan(v: FrameEmbeddings, partition: EventPartition, s1: int, s2: int,
                  alpha: float) -> VisionPlan:
     """Each frame's stride and group flag: (s1, s2) in key events, widened by 1/alpha elsewhere."""
-    if partition.key_event is None or partition.key_frame is None:
-        raise ValueError("key flags not populated; run select_keys first")
-    if s1 > s2:
-        raise ValueError(f"s1 must not exceed s2, got ({s1}, {s2})")
     key_of_frame = np.repeat(partition.key_event, [len(ev) for ev in partition.events])
     key_frame = partition.key_frame
     strides = np.where(key_of_frame, np.where(key_frame, s1, s2),

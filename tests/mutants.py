@@ -149,6 +149,19 @@ MUTANTS = (
         ("tests/test_data_io.py::TestMebfErrors::test_dims_one_over_each_budget_are_refused[frame]",),
     ),
     Mutant(
+        "config_boundaries_may_repeat", "metok/data_io.py",
+        "if not (0 <= l1 < l2 < l3):",
+        "if not (0 <= l1 <= l2 <= l3):",
+        ("tests/test_data_io.py::TestRunConfig::test_out_of_range_is_config_error[boundaries_equal]",),
+    ),
+    Mutant(
+        "config_ratios_may_be_zero", "metok/data_io.py",
+        "            if not 0.0 < v <= 1.0:\n",
+        "            if not 0.0 <= v <= 1.0:\n",
+        ("tests/test_data_io.py::TestRunConfig::test_out_of_range_is_config_error[r_zero]",
+         "tests/test_data_io.py::TestRunConfig::test_out_of_range_is_config_error[beta_zero]"),
+    ),
+    Mutant(
         "frames_checked_for_nan_only", "metok/data_io.py",
         "if not all(np.isfinite(self.tokens[i]).all() for i in bad):",
         "if not all(~np.isnan(self.tokens[i]).all() for i in bad):",

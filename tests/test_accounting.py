@@ -99,14 +99,6 @@ class TestReductionReport:
         for metric in ("flops", "kv_bytes"):
             assert sorted(d[metric]) == ["baseline", "compressed", "reduction_pct"]
 
-    def test_zero_flops_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            reduction_report(trace([0, 0]), trace([0, 0]))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            reduction_report(trace([5], d=8), trace([5], d=16))
-
     def test_monotone_in_r(self):
         cfg = RunConfig(layers=12, heads=2, d_model=32, layer_boundaries=(3, 6, 9))
         base = baseline_trace(cfg, 300, 10, 4)

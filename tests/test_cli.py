@@ -314,11 +314,14 @@ class TestExitCodes:
         other = tmp_path / "other"
         assert main(["gen", "--seed", "7", "--frames", "12", "--grid", "4x4", "--dim", "8",
                      "--out", str(other)]) == 0
-        rc = main(["compress", "--config", str(config_path),
-                   "--input", str(data_dir / "video.mebf"), "--text", str(other / "text.mebf"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        # the one check of the rule: the vision stage trusts the dims to agree
+        for command in (["compress"], ["simulate", "--analytic"]):
+            out = tmp_path / command[0]
+            rc = main([*command, "--config", str(config_path),
+                       "--input", str(data_dir / "video.mebf"), "--text", str(other / "text.mebf"),
+                       "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
 
     def test_zero_norm_frame(self, data_dir, config_path, tmp_path):
         video = data_io.read_embeddings(data_dir / "video.mebf")

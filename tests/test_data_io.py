@@ -97,6 +97,16 @@ class TestMebfErrors:
         with pytest.raises(MebfError):
             read_embeddings(p)
 
+    def test_text_without_prompt_tokens_is_refused(self, tmp_path):
+        # every text the pipeline reads has a prompt row, so the boundary scoring has text queries
+        p = tmp_path / "t.mebf"
+        p.write_bytes(struct.pack("<4sBB2I", b"MEBF", 1, data_io.REC_TEXT, 2, 0)
+                      + np.ones(2, np.float32).tobytes())
+        with pytest.raises(MebfError, match="zero dimension"):
+            read_embeddings(p)
+        with pytest.raises(ValueError, match="prompt token id"):
+            TextEmbedding(vector=np.ones(2), token_ids=np.array([], dtype=np.int64))
+
     def test_trailing_bytes(self, tmp_path):
         emb, _ = gen_synthetic(1, 2, 2, 2, seed=0)
         p = tmp_path / "v.mebf"
@@ -535,6 +545,26 @@ class TestRunConfig:
         assert sorted(RunConfig().to_dict()) == sorted(FILE_KEYS + (
             "event_score", "frame_reduce", "baseline_stride",
         ))
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer_boundaries", (3, 3, 9)),
+        ("layer_boundaries", (-1, 3, 9)),
+        ("r", 0.0),
+        ("r", 1.5),
+        ("beta", 0.0),
+        ("layers", 0),
+        ("d_model", 0),
+        ("k", 0),
+        ("baseline_stride", 0),
+        ("event_score", "median"),
+        ("frame_reduce", "sum"),
+    ], ids=["boundaries_equal", "boundary_negative", "r_zero", "r_above_one", "beta_zero",
+            "layers_zero", "d_model_zero", "k_zero", "baseline_stride_zero",
+            "event_score_unknown", "frame_reduce_unknown"])
+    def test_out_of_range_is_config_error(self, field, value):
+        # the one check of each rule: the code behind RunConfig trusts these values
+        with pytest.raises(ConfigError):
+            RunConfig(**{field: value})
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ConfigError):

@@ -197,16 +197,6 @@ class TestScoreRelevance:
         max_part = score_relevance(TEXT_X, segment_events(v, 1), "max")
         assert max_part.event_scores[0] == pytest.approx(0.6, abs=1e-12)
 
-    def test_dim_mismatch(self):
-        v = frames_with_text_scores([0.5])
-        bad = TextEmbedding(vector=np.ones(3), token_ids=np.array([0]))
-        with pytest.raises(ValueError):
-            score_relevance(bad, segment_events(v, 1))
-
-    def test_partition_without_frame_means_is_refused(self):
-        with pytest.raises(ValueError, match="frame means"):
-            score_relevance(TEXT_X, EventPartition(num_frames=2, boundaries=()))
-
     @pytest.mark.parametrize("frame_reduce", FRAME_REDUCES)
     def test_scoring_and_selection_leave_their_input_unchanged(self, frame_reduce):
         emb, text = gen_synthetic(9, 2, 3, 8, seed=4, num_segments=3)
