@@ -14,12 +14,16 @@ where c counts that layer's cached prompt survivors, previously generated
 tokens, and the token itself. KV memory is 2 (K and V) * positions * d_model *
 BYTES_PER_ELEMENT, summed over layers, counting the per-layer prompt cache
 left after the decode-stage drop. A reduction report holds these two metrics
-only, so it is byte-reproducible; wall-clock stays out of it.
+only, so it is byte-reproducible; wall-clock stays out of it. Decode terms join the
+prefill total one at a time in step-then-layer order (a sequential np.cumsum, not the
+pairwise np.sum), so the vectorised sum keeps the bits of the plain nested loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data_io import STAGES, RunConfig, config_with
 from .schedule import PruneSchedule, kv_drop_layer
@@ -59,11 +63,10 @@ def pipeline_flops(trace: InferenceTrace) -> float:
     """Total prefill plus decode FLOPs for the traced run."""
     d, rho = trace.d_model, trace.mlp_ratio
     total = sum(layer_flops(n, d, rho) for n in trace.layer_lengths)
-    proj = (8 + 4 * rho) * d * d
-    for step in range(trace.decode_steps):
-        for cached in trace.cached_positions:
-            total += proj + 4 * (cached + step + 1) * d
-    return total
+    # float64, not int64: exact below 2**53, and a wide d_model cannot wrap the products
+    step = np.arange(1, trace.decode_steps + 1, dtype=np.float64)
+    terms = (8 + 4 * rho) * d * d + 4 * d * np.add.outer(step, trace.cached_positions)
+    return float(np.cumsum(np.concatenate(([total], terms.ravel())))[-1])
 
 
 def kv_bytes(trace: InferenceTrace) -> int:

@@ -19,11 +19,14 @@ failed write keeps the artifacts already written, each whole: a trace.json
 blocked by a directory leaves report.json. A command runs only the work it
 writes: compress and sweep read vision plans, never the toy model, and diag
 makes the compressed run alone.
+main may be called many times in one process: the parser and RunConfig's field
+types are built once, and everything read from argv or files is read per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -33,7 +36,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -45,8 +47,8 @@ from .data_io import (
     ConfigError,
     FrameEmbeddings,
     MebfError,
-    RunConfig,
     TextEmbedding,
+    _config_hints,
     atomic_write,
     config_with,
     gen_synthetic,
@@ -242,7 +244,7 @@ def _parse_sweep_params(params: list[str]) -> dict[str, list]:
             raise UsageError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
         if name in axes:
             raise UsageError(f"--param {name} given more than once")
-        cast = get_type_hints(RunConfig)[name]
+        cast = _config_hints()[name]
         try:
             parsed = [cast(v) for v in values.split(",") if v != ""]
         except ValueError as e:
@@ -289,7 +291,8 @@ def _add_io_args(p: _Parser, command: str, body, with_steps: bool = True) -> Non
         p.add_argument("--steps", type=int, default=8, help="tokens to decode (0: prefill only)")
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def build_parser() -> _Parser:  # built on the first call, shared by every later main
     parser = _Parser(prog="metok", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metok {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,6 +17,7 @@ at a time to float64, so a write/read round trip is lossless modulo one
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -407,6 +408,11 @@ class RunConfig:
         return out
 
 
+@functools.cache
+def _config_hints() -> dict:  # RunConfig's field types follow the class alone: resolve them once
+    return get_type_hints(RunConfig)
+
+
 def _fits(hint, value) -> bool:
     """Whether a JSON value fits a field annotation; a tuple field takes a JSON list."""
     if get_origin(hint) is tuple:
@@ -430,7 +436,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    hints = get_type_hints(RunConfig)
+    hints = _config_hints()
     kwargs = {}
     for key, value in data.items():
         if key not in hints or key in RUNTIME_FIELDS:

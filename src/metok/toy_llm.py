@@ -473,7 +473,7 @@ class DecodeOutput:
 
 def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray,
            masses: np.ndarray | None = None) -> DecodeOutput:
-    """Greedy decode against every entry of the cache.
+    """Greedy decode against every entry of a cache that prefill made on this model.
 
     Token 0 is the argmax of first_logits (computed by prefill); each further
     token comes from one forward pass. Forward s writes each layer's K and V
@@ -487,15 +487,11 @@ def decode(model: ToyModel, cache: KvCache, steps: int, first_logits: np.ndarray
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if len(cache.k) != model.layers:
-        raise ValueError("cache and model disagree on layer count")
     if np.shape(first_logits) != (model.vocab,):
         raise ValueError(f"first_logits must have shape ({model.vocab},)")
     heads, head_dim, d, gen = model.heads, model.head_dim, model.d_model, steps - 1
     if gen > cache.room:
         raise ValueError(f"{steps} steps need {gen} spare cache rows, the cache has {cache.room}")
-    if masses is not None and masses.shape != (gen, model.layers, 2):
-        raise ValueError(f"masses must have shape ({gen}, {model.layers}, 2)")
     logits = np.empty((steps, model.vocab))  # row s produces token s, its argmax
     logits[0] = first_logits
     positions = sinusoidal_positions(np.arange(gen) + cache.prompt_len, d)

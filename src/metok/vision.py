@@ -46,20 +46,12 @@ class EventPartition:
     """
 
     num_frames: int
-    boundaries: tuple[int, ...]
+    boundaries: tuple[int, ...]             # ascending, distinct, each in [0, T - 1)
     frame_scores: np.ndarray | None = None
     event_scores: np.ndarray | None = None
     key_event: np.ndarray | None = None
     key_frame: np.ndarray | None = None
     frame_means: np.ndarray | None = None   # (T, d), recorded by segment_events
-
-    def __post_init__(self):
-        self.boundaries = tuple(sorted(int(b) for b in self.boundaries))
-        for b in self.boundaries:
-            if not 0 <= b < self.num_frames - 1:
-                raise ValueError(f"boundary {b} out of range for {self.num_frames} frames")
-        if len(set(self.boundaries)) != len(self.boundaries):
-            raise ValueError("duplicate boundaries")
 
     @property
     def num_events(self) -> int:

@@ -169,8 +169,8 @@ MUTANTS = (
     ),
     Mutant(
         "decode_context_off_by_one", "metok/accounting.py",
-        "total += proj + 4 * (cached + step + 1) * d",
-        "total += proj + 4 * (cached + step) * d",
+        "np.arange(1, trace.decode_steps + 1, dtype=np.float64)",
+        "np.arange(trace.decode_steps, dtype=np.float64)",
         ("tests/test_accounting.py::TestPipelineFlops::test_decode_hand_sum",),
     ),
     Mutant(

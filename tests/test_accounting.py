@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from metok import pipeline
 from metok.pipeline import run_simulation
 from metok.schedule import PruneSchedule, kv_drop_layer
 from metok.toy_llm import apply_kv_policy, init_model, prefill
+from metok.vision import plan_vision_stage
 from tests.test_toy_llm import make_stream, make_text
 from tests.test_vision import STAGE_SUBSETS, UNIT_RATIOS
 
@@ -67,6 +70,63 @@ class TestPipelineFlops:
             24 * 64 + 4 * (c + s + 1) * 8 for s in range(2) for c in (3, 5)
         )
         assert pipeline_flops(t) == prefill_part + decode_part
+
+
+def loop_pipeline_flops(t):
+    """pipeline_flops as a nested loop adding one step-and-layer term at a time: its bits."""
+    d, rho = t.d_model, t.mlp_ratio
+    total = sum(layer_flops(n, d, rho) for n in t.layer_lengths)
+    proj = (8 + 4 * rho) * d * d
+    for step in range(t.decode_steps):
+        for cached in t.cached_positions:
+            total += proj + 4 * (cached + step + 1) * d
+    return total
+
+
+class TestPipelineFlopsBits:
+    """The vectorised decode sum keeps the nested loop's float64 bits, compared with ==."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_nested_loop(self, data):
+        layers = data.draw(st.integers(1, 40))
+        counts = st.lists(st.integers(0, 10**5), min_size=layers, max_size=layers)
+        t = InferenceTrace(
+            layer_lengths=data.draw(counts),
+            cached_positions=data.draw(counts),
+            decode_steps=data.draw(st.integers(0, 300)),
+            d_model=data.draw(st.sampled_from([8, 64, 3584, 2**45])),  # 2**45: past int64
+            mlp_ratio=data.draw(st.sampled_from([4.0, 18944 / 3584])),
+        )
+        assert pipeline_flops(t) == loop_pipeline_flops(t)
+
+    def test_a_trace_whose_total_shows_the_order_of_its_terms(self):
+        t = InferenceTrace(layer_lengths=[10491, 1730, 3625], cached_positions=[1962, 59885, 71202],
+                           decode_steps=6, d_model=64, mlp_ratio=18944 / 3584)
+        proj = (8 + 4 * t.mlp_ratio) * 64 * 64
+        layer_first = sum(layer_flops(n, 64, t.mlp_ratio) for n in t.layer_lengths)
+        for cached in t.cached_positions:
+            for step in range(t.decode_steps):
+                layer_first += proj + 4 * (cached + step + 1) * 64
+        assert layer_first != loop_pipeline_flops(t)
+        assert pipeline_flops(t) == loop_pipeline_flops(t)
+
+    def test_replica_points_equal_the_nested_loop(self):
+        # criterion 6's replica and 64 decoded tokens, at 27 points over r, alpha and beta
+        cfg = RunConfig(
+            k=13, alpha=0.5, beta=0.45, s1=2, s2=3, r=0.55,
+            layer_boundaries=(3, 10, 19), layers=28, heads=28, d_model=3584,
+            mlp_ratio=18944 / 3584, seed=1234, baseline_stride=2,
+        )
+        frames, text = gen_synthetic(128, 24, 24, 32, seed=1234, num_segments=13, text_len=64)
+        for r, alpha, beta in itertools.product((0.3, 0.55, 0.7), (0.4, 0.5, 0.8), (0.3, 0.45, 0.6)):
+            point = config_with(cfg, r=r, alpha=alpha, beta=beta)
+            n_key, n_nonkey = plan_vision_stage(frames, text, point).group_counts()
+            for t in (analytic_trace(point, n_key, n_nonkey, 64, 63),
+                      baseline_trace(point, 128 * 12 * 12, 64, 63)):
+                got = pipeline_flops(t)
+                assert type(got) is float
+                assert got == loop_pipeline_flops(t)
 
 
 class TestKvBytes:

@@ -700,3 +700,52 @@ def test_mapped_and_in_memory_inputs_give_identical_artifacts(tmp_path, monkeypa
     mapped, memory = (json.loads((tmp_path / d / "manifest.json").read_text())
                       for d in ("mapped", "memory"))
     assert mapped["artifacts"] == memory["artifacts"]
+
+
+class TestRepeatCalls:
+    """main is called many times in one process; the parser and the config hints are shared."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_failed_calls_leave_nothing_that_changes_a_later_simulate(self, tmp_path):
+        io_args = criterion_8_io(tmp_path)
+        assert main(["simulate", *io_args, "--out", str(tmp_path / "neg"), "--bogus"]) == 1
+        assert main(["simulate", *io_args, "--out", str(tmp_path / "neg"), "--steps", "-1"]) == 1
+        assert not (tmp_path / "neg").exists()
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"alpha": 1.5}')
+        config_at = io_args.index("--config") + 1
+        bad_args = [*io_args[:config_at], str(bad), *io_args[config_at + 1:]]
+        assert main(["simulate", *bad_args, "--out", str(tmp_path / "bad")]) == 2
+        assert not (tmp_path / "bad").exists()
+        argv = ["simulate", "--analytic", *io_args, "--steps", "6"]
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+        env = dict(os.environ)
+        # the metok this test imported, so a mutated copy is the one run
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "metok.cli", *argv, "--out", str(tmp_path / "fresh")],
+                       env=env, check=True, capture_output=True, timeout=120)
+        for name in ("report.json", "trace.json"):
+            assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_a_reader_patched_after_a_call_is_the_one_called(self, tmp_path, monkeypatch):
+        io_args = criterion_8_io(tmp_path)
+        assert main(["compress", *io_args, "--out", str(tmp_path / "first")]) == 0
+        read = []
+
+        def recording_read(path):
+            read.append(Path(path).name)
+            return data_io.read_embeddings(path)
+
+        monkeypatch.setattr(cli, "read_embeddings", recording_read)
+        assert main(["compress", *io_args, "--out", str(tmp_path / "second")]) == 0
+        assert read == ["video.mebf", "text.mebf"]
+
+    def test_a_sweep_value_its_field_type_refuses_is_a_usage_error(self, tmp_path):
+        io_args = criterion_8_io(tmp_path)
+        assert data_io._config_hints() is data_io._config_hints()
+        out = tmp_path / "x"
+        assert main(["sweep", *io_args, "--out", str(out), "--param", "alpha=x"]) == 1
+        assert not out.exists()
